@@ -51,10 +51,9 @@ def run_cegis(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     engine=None,
 ) -> list[CegisRecord]:
-    """Run the CEGIS grid as a resumable/sharded campaign.
+    """Run the CEGIS grid as a resumable campaign.
 
     Every ``(case, regime, synthesis)`` cell is one
     :class:`~repro.runner.CegisTask`; an explicit ``engine`` supersedes
@@ -76,7 +75,7 @@ def run_cegis(
     ]
     return CampaignEngine.ensure(
         engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     ).run(tasks)
 
 

@@ -49,7 +49,6 @@ def run_figure3(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Figure3Record]:
@@ -68,7 +67,7 @@ def run_figure3(
 
     engine = CampaignEngine.ensure(
         engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     )
     if size_caps is None:
         size_caps = DEFAULT_SIZE_CAPS

@@ -34,7 +34,6 @@ def run_piecewise(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     engine=None,
 ) -> list[PiecewiseRecord]:
     """Run the synthesis+validation grid.
@@ -63,7 +62,7 @@ def run_piecewise(
     ]
     return CampaignEngine.ensure(
         engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     ).run(tasks)
 
 

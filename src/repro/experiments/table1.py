@@ -43,7 +43,6 @@ def run_table1(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> tuple[list[Table1Record], dict]:
@@ -82,7 +81,7 @@ def run_table1(
     ]
     outcomes = CampaignEngine.ensure(
         engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     ).run(tasks)
     records: list[Table1Record] = []
     candidates: dict = {}
@@ -141,7 +140,6 @@ def rounding_sweep(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Table1Record]:
@@ -181,7 +179,7 @@ def rounding_sweep(
             )
     outcomes = CampaignEngine.ensure(
         engine, jobs=jobs, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     ).run(tasks)
     records = []
     for (case_name, mode, method, backend), _candidate in candidates.items():

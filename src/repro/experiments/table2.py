@@ -32,7 +32,6 @@ def run_table2(
     journal=None,
     retry=None,
     stats=None,
-    shards=None,
     fallback: bool = True,
     engine=None,
 ) -> list[Table2Record]:
@@ -58,7 +57,7 @@ def run_table2(
     ]
     return CampaignEngine.ensure(
         engine, jobs=jobs, task_deadline=task_deadline, timing=timing,
-        journal=journal, retry=retry, stats=stats, shards=shards,
+        journal=journal, retry=retry, stats=stats,
     ).run(tasks)
 
 

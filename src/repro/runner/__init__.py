@@ -13,14 +13,6 @@ artifact; :mod:`repro.runner.journal` persists every completed verdict
 to an append-only fsync'd JSONL journal so killed campaigns resume by
 replay; :mod:`repro.runner.chaos` injects deterministic faults to prove
 those invariants hold.
-
-For campaigns that must survive losing a whole *group* of workers,
-:mod:`repro.runner.shard` partitions the task list by fingerprint hash
-into independently-supervised shard processes with heartbeat leases,
-work-stealing and requeue-on-death; per-shard journals merge
-deterministically (:func:`merge_journals` / :func:`journal_digest`)
-back into the campaign journal, and :mod:`repro.runner.telemetry`
-renders live progress from the lease files alone.
 """
 
 from .core import (
@@ -36,7 +28,6 @@ from .chaos import (
     ChaosPermanentError,
     ChaosPolicy,
     ChaosTask,
-    ShardChaosPolicy,
 )
 from .journal import (
     JOURNAL_SALT,
@@ -45,11 +36,9 @@ from .journal import (
     decode_value,
     encode_value,
     journal_digest,
-    merge_journals,
     register_record_type,
     task_fingerprint,
 )
-from .shard import resolve_shards, run_sharded, shard_of
 from .tasks import (
     CegisTask,
     Figure3Task,
@@ -75,9 +64,6 @@ __all__ = [
     "CampaignStats",
     "run_tasks",
     "resolve_jobs",
-    "run_sharded",
-    "resolve_shards",
-    "shard_of",
     "Journal",
     "JournalEntry",
     "JOURNAL_SALT",
@@ -85,13 +71,11 @@ __all__ = [
     "encode_value",
     "decode_value",
     "register_record_type",
-    "merge_journals",
     "journal_digest",
     "ChaosError",
     "ChaosPermanentError",
     "ChaosPolicy",
     "ChaosTask",
-    "ShardChaosPolicy",
     "Table1Task",
     "RevalidateTask",
     "Figure3Task",

@@ -41,11 +41,17 @@ serial run:
   so per-process caches (the balanced-truncation ladder) are built at
   most once per worker — and, under the preferred ``fork`` start
   method, inherited from the parent for free.
+
+One supervisor, :class:`_Supervisor`, owns the worker processes for
+both :func:`run_tasks` (one campaign, driven synchronously) and the
+service's :class:`repro.service.WarmPool` (a resident pool, driven from
+its dispatcher thread).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import time
@@ -149,6 +155,10 @@ class RetryPolicy:
     backoff: float = 0.05
     max_backoff: float = 2.0
 
+    def allows(self, attempts: int) -> bool:
+        """May a task that failed ``attempts`` times be tried again?"""
+        return attempts <= self.retries
+
     def delay(self, attempt: int, token) -> float:
         """Backoff after failed attempt number ``attempt`` (1-based)."""
         base = min(self.backoff * (2 ** max(0, attempt - 1)), self.max_backoff)
@@ -174,13 +184,10 @@ class CampaignStats:
     *policy* retries — a task that raised a transient error and was
     re-attempted. ``requeued_tasks``/``requeue_attempts`` count tasks
     re-dispatched because the *infrastructure* failed under them — a
-    worker death, a deadline kill, or (in sharded campaigns) a whole
-    shard declared dead — which used to be folded into the retry
-    counters and is now reported distinctly. ``stolen_tasks`` counts
-    tasks work-stolen from a busy shard's backlog onto an idle shard.
-    ``degraded`` counts tasks whose result records a backend/validator
-    fallback; ``journal_errors`` counts outcomes that could not be
-    journaled (the campaign continues regardless).
+    worker death or a deadline kill — reported apart from the retry
+    counters. ``degraded`` counts tasks whose result records a
+    backend/validator fallback; ``journal_errors`` counts outcomes that
+    could not be journaled (the campaign continues regardless).
     """
 
     total: int = 0
@@ -190,7 +197,6 @@ class CampaignStats:
     retry_attempts: int = 0
     requeued_tasks: int = 0
     requeue_attempts: int = 0
-    stolen_tasks: int = 0
     degraded: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -211,8 +217,6 @@ class CampaignStats:
                 f"{self.requeued_tasks} requeued "
                 f"(+{self.requeue_attempts} attempts)",
             )
-        if self.stolen_tasks:
-            parts.append(f"{self.stolen_tasks} stolen")
         if self.timeouts:
             parts.append(f"{self.timeouts} timeouts")
         if self.journal_errors:
@@ -229,7 +233,6 @@ class CampaignStats:
             "retry_attempts": self.retry_attempts,
             "requeued_tasks": self.requeued_tasks,
             "requeue_attempts": self.requeue_attempts,
-            "stolen_tasks": self.stolen_tasks,
             "degraded": self.degraded,
             "errors": self.errors,
             "timeouts": self.timeouts,
@@ -294,58 +297,82 @@ def run_tasks(
     if not tasks:
         return []
     run = _Run(tasks, collect, journal, _resolve_retry(retry), stats)
-    todo = run.replay()
-    if todo:
-        jobs = min(resolve_jobs(jobs), len(todo))
-        if jobs == 1:
-            for index, task in todo:
-                _run_local(index, task, run)
-        else:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platforms without fork: spawn still works,
-                context = multiprocessing.get_context()  # caches warm/worker
-            _run_pooled(todo, jobs, context, task_deadline, run)
-    # Anything not yet finished (shouldn't happen, but never return
-    # holes): run it in-process.
-    for index, task in enumerate(tasks):
-        if not run.done[index]:
-            _run_local(index, task, run)
+    todo = run.replay(task_deadline)
+    jobs = min(resolve_jobs(jobs), len(todo))
+    if jobs == 1:
+        for job in todo:
+            _run_local(job, run)
+    elif jobs > 1:
+        supervisor = _Supervisor(run, run.policy)
+        for job in todo:
+            supervisor.submit(job)
+        supervisor.run(jobs)
     return run.results
 
 
+class _Job:
+    """One task under supervision, with its attempt bookkeeping.
+
+    ``index`` is the submission index (it also seeds the retry jitter);
+    ``wall_s`` accumulates across attempts, each timed from dispatch to
+    reply; ``pids`` lists the worker of every pooled attempt;
+    ``requeues`` counts the attempts a worker death or deadline kill
+    caused, as opposed to the task's own transient errors.
+    """
+
+    __slots__ = (
+        "task", "index", "deadline", "warmup", "attempts", "requeues",
+        "wall_s", "pids",
+    )
+
+    def __init__(self, task, index=0, deadline=None, warmup=False):
+        self.task = task
+        self.index = index
+        self.deadline = deadline
+        self.warmup = warmup
+        self.attempts = 0
+        self.requeues = 0
+        self.wall_s = 0.0
+        self.pids: list = []
+
+    def announce(self, attempt: int) -> None:
+        """Tell the task which attempt it is about to make."""
+        try:
+            self.task.on_attempt(attempt)
+        except Exception:
+            pass
+
+
 class _Run:
-    """Bookkeeping shared by the local and pooled execution paths."""
+    """A campaign's bookkeeping: result slots, stats, timing, journal.
+
+    It is the :class:`_Supervisor`'s client for :func:`run_tasks`.
+    """
 
     def __init__(self, tasks, collect, journal, policy, stats):
         self.tasks = tasks
         self.results = [None] * len(tasks)
-        self.done = [False] * len(tasks)
         self.collect = collect
         self.journal = journal
         self.policy = policy
         self.stats = stats
         self.fingerprints: list[str | None] = [None] * len(tasks)
-        self.attempts: dict[int, int] = {}
-        self.requeues: dict[int, int] = {}
-        self.walls: dict[int, float] = {}
 
     # -- journal replay ------------------------------------------------
 
-    def replay(self) -> list[tuple[int, "Task"]]:
-        """Mark journal hits done; return the (index, task) gaps to run."""
-        if self.journal is None:
-            return list(enumerate(self.tasks))
+    def replay(self, deadline) -> list[_Job]:
+        """Fill journal hits in; return the jobs still to run."""
         todo = []
         for index, task in enumerate(self.tasks):
-            fingerprint = self.journal.fingerprint(task)
-            self.fingerprints[index] = fingerprint
-            entry = self.journal.get(fingerprint)
+            entry = None
+            if self.journal is not None:
+                fingerprint = self.journal.fingerprint(task)
+                self.fingerprints[index] = fingerprint
+                entry = self.journal.get(fingerprint)
             if entry is None:
-                todo.append((index, task))
+                todo.append(_Job(task, index, deadline))
                 continue
             self.results[index] = entry.result
-            self.done[index] = True
             self.stats.replayed += 1
             self._emit_timing(
                 task, "replayed", 0.0, "journal", entry.result,
@@ -353,35 +380,41 @@ class _Run:
             )
         return todo
 
-    # -- attempt accounting --------------------------------------------
+    # -- supervisor callbacks ------------------------------------------
 
-    def next_attempt(self, index: int) -> int:
-        attempt = self.attempts.get(index, 0) + 1
-        self.attempts[index] = attempt
-        return attempt
+    def on_result(self, job, result, worker):
+        self.finish(job, "ok", worker, result)
 
-    def may_retry(self, index: int) -> bool:
-        """Is another attempt allowed after the current one failed?"""
-        return self.attempts.get(index, 1) <= self.policy.retries
+    def on_error(self, job, error, worker):
+        self.finish(
+            job, "error", worker,
+            job.task.on_error(error.get("exc", "task error")), error=error,
+        )
 
-    def note_requeue(self, index: int) -> None:
-        """Classify the task's next attempt as an infrastructure
-        requeue (worker death, deadline kill) rather than a policy
-        retry, so the two are reported distinctly."""
-        self.requeues[index] = self.requeues.get(index, 0) + 1
+    def on_timeout(self, job, elapsed, worker):
+        self.finish(
+            job, "timeout", worker, job.task.on_timeout(elapsed),
+            error={
+                "exc": (
+                    f"deadline exceeded ({elapsed:.3g}s"
+                    f" > {job.deadline:.3g}s)"
+                ),
+                "transient": True,
+            },
+        )
 
-    def spend(self, index: int, wall: float) -> None:
-        self.walls[index] = self.walls.get(index, 0.0) + wall
+    def run_here(self, job, status):
+        _run_local(job, self, status)
 
     # -- completion ----------------------------------------------------
 
-    def finish(self, index, task, status, worker, result, error=None):
+    def finish(self, job, status, worker, result, error=None):
         """Record a final outcome: result slot, stats, timing, journal."""
-        self.results[index] = result
-        self.done[index] = True
-        attempts = self.attempts.get(index, 1)
+        task = job.task
+        self.results[job.index] = result
+        attempts = job.attempts
         self.stats.executed += 1
-        requeues = min(self.requeues.get(index, 0), max(0, attempts - 1))
+        requeues = min(job.requeues, max(0, attempts - 1))
         retries = max(0, attempts - 1 - requeues)
         if retries:
             self.stats.retried_tasks += 1
@@ -394,13 +427,15 @@ class _Run:
         elif status == "timeout":
             self.stats.timeouts += 1
         detail = self._emit_timing(
-            task, status, self.walls.get(index, 0.0), worker, result,
+            task, status, job.wall_s, worker, result,
             attempts=attempts, error=error, requeues=requeues,
         )
         if detail.get("degraded"):
             self.stats.degraded += 1
         if self.journal is not None:
-            self._journal_write(index, task, status, result, attempts, error)
+            self._journal_write(
+                job.index, task, status, result, attempts, error
+            )
 
     def _emit_timing(
         self, task, status, wall, worker, result, attempts, error,
@@ -446,60 +481,41 @@ def _exc_message(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# ----------------------------------------------------------------------
-# In-process execution (the jobs=1 path and the fallback of last resort)
-# ----------------------------------------------------------------------
+def _run_local(job, run: _Run, status: str = "ok"):
+    """Run one job in-process (the ``jobs=1`` path and the last resort).
 
-def _run_local(index, task, run: _Run, status: str = "ok"):
-    """Run one task in-process, honouring the retry policy."""
+    ``status="ok"`` honours the retry policy, one counted attempt per
+    try. ``status="fallback"`` follows a worker death with no retries
+    left: one more try here, not counted as an attempt.
+    """
+    task = job.task
     while True:
-        attempt = run.next_attempt(index)
-        try:
-            task.on_attempt(attempt)
-        except Exception:
-            pass
+        if status == "ok":
+            job.attempts += 1
+            job.announce(job.attempts)
         start = time.perf_counter()
+        error = None
         try:
             result = task.run()
-            error = None
-        except TransientTaskError as exc:
-            run.spend(index, time.perf_counter() - start)
-            if run.may_retry(index):
-                time.sleep(run.policy.delay(attempt, index))
+        except Exception as exc:
+            job.wall_s += time.perf_counter() - start
+            transient = isinstance(exc, TransientTaskError)
+            if (
+                transient and status == "ok"
+                and run.policy.allows(job.attempts)
+            ):
+                time.sleep(run.policy.delay(job.attempts, job.index))
                 continue
             result = task.on_error(_exc_message(exc))
-            status = "error"
-            error = {"exc": _exc_message(exc), "transient": True}
-        except Exception as exc:
-            run.spend(index, time.perf_counter() - start)
-            result = task.on_error(_exc_message(exc))
-            status = "error"
-            error = {"exc": _exc_message(exc), "transient": False}
+            error = {"exc": _exc_message(exc), "transient": transient}
         else:
-            run.spend(index, time.perf_counter() - start)
-        run.finish(index, task, status, "local", result, error)
+            job.wall_s += time.perf_counter() - start
+        run.finish(job, "error" if error else status, "local", result, error)
         return result
 
 
-def _run_local_once(index, task, run: _Run, status: str):
-    """Single local attempt (no further retries) for last-resort paths."""
-    start = time.perf_counter()
-    error = None
-    try:
-        result = task.run()
-    except Exception as exc:
-        result = task.on_error(_exc_message(exc))
-        status = "error"
-        error = {
-            "exc": _exc_message(exc),
-            "transient": isinstance(exc, TransientTaskError),
-        }
-    run.spend(index, time.perf_counter() - start)
-    run.finish(index, task, status, "local", result, error)
-
-
 # ----------------------------------------------------------------------
-# Pooled execution
+# The worker supervisor
 # ----------------------------------------------------------------------
 
 def _worker_loop(connection):
@@ -547,22 +563,22 @@ def _worker_loop(connection):
         pass
 
 
+def _worker_main(loop, connection, parent_end):
+    """Worker entry point. The forked child inherits the supervisor's
+    end of its own pipe; closing it lets the child see EOF, and exit,
+    when the supervisor dies (even by SIGKILL)."""
+    parent_end.close()
+    loop(connection)
+
+
 class _Worker:
-    __slots__ = ("process", "connection", "index", "task", "started")
+    __slots__ = ("process", "connection", "job", "started")
 
     def __init__(self, process, connection):
         self.process = process
         self.connection = connection
-        self.index = None  # submission index of the in-flight task
-        self.task = None
+        self.job: _Job | None = None  # the in-flight job
         self.started = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-    def clear(self) -> None:
-        self.index = self.task = None
 
     def stop(self) -> None:
         try:
@@ -580,173 +596,222 @@ class _Worker:
             pass
 
 
-def _spawn_worker(context) -> _Worker:
-    parent_end, child_end = context.Pipe(duplex=True)
-    process = context.Process(
-        target=_worker_loop, args=(child_end,), daemon=True
-    )
-    process.start()
-    child_end.close()
-    return _Worker(process, parent_end)
+class _Supervisor:
+    """Supervises a pool of shared-nothing worker processes.
 
+    The one place that spawns workers, dispatches jobs, waits on their
+    pipes and decides what a failure means:
 
-def _run_pooled(todo, jobs, context, task_deadline, run: _Run):
-    pending = deque(todo)
-    delayed: list[tuple[float, int, Task]] = []  # (ready_at, index, task)
-    workers: list[_Worker] = []
+    * a reply settles the job, or retries it after a transient error
+      while the :class:`RetryPolicy` allows;
+    * a worker death — its pipe at EOF or its process gone, whichever
+      is seen first — requeues the job on a fresh worker, or, with the
+      retries spent, runs it in this process as a ``fallback``;
+    * a job past its deadline has its worker killed and is requeued the
+      same way, or, with the retries spent, settles as a timeout;
+    * every retry and requeue first waits out the policy's backoff;
+    * a fresh worker runs ``warmup`` (a task, if given) before any job;
+    * with no worker left, jobs run in this process.
 
-    def requeue(index, task):
-        """Schedule a retry after its deterministic backoff."""
-        ready = time.monotonic() + run.policy.delay(
-            run.attempts.get(index, 1), index
-        )
-        delayed.append((ready, index, task))
+    Outcomes go to ``client``: ``on_result(job, result, pid)``,
+    ``on_error(job, error, pid)``, ``on_timeout(job, elapsed, pid)`` and
+    ``run_here(job, status)``, the in-process run (``status`` is
+    ``"ok"``, or ``"fallback"`` after a death). With ``keep`` set the
+    pool is kept at full size while idle; otherwise a lost worker is
+    only replaced while work remains.
+    """
 
-    def work_remains() -> bool:
-        return bool(pending or delayed)
-
-    try:
-        for _ in range(jobs):
-            try:
-                workers.append(_spawn_worker(context))
-            except (OSError, ValueError):
-                break
-        while pending or delayed or any(w.busy for w in workers):
-            now = time.monotonic()
-            if delayed:
-                due = sorted(d for d in delayed if d[0] <= now)
-                if due:
-                    delayed = [d for d in delayed if d[0] > now]
-                    for _ready, index, task in due:
-                        pending.append((index, task))
-            if not workers:
-                # Pool unavailable (or every worker lost): degrade to
-                # in-process execution for whatever remains.
-                for _ready, index, task in sorted(delayed):
-                    pending.append((index, task))
-                delayed = []
-                while pending:
-                    index, task = pending.popleft()
-                    _run_local(index, task, run)
-                break
-            for worker in workers:
-                if not worker.busy and pending:
-                    index, task = pending.popleft()
-                    attempt = run.next_attempt(index)
-                    try:
-                        task.on_attempt(attempt)
-                    except Exception:
-                        pass
-                    try:
-                        worker.connection.send((index, task))
-                    except Exception:
-                        # Unpicklable task or broken pipe: run it here.
-                        _run_local_once(index, task, run, status="ok")
-                        continue
-                    worker.index, worker.task = index, task
-                    worker.started = time.monotonic()
-            busy = [w for w in workers if w.busy]
-            if not busy:
-                if not pending and delayed:
-                    time.sleep(
-                        min(
-                            _POLL_INTERVAL,
-                            max(0.0, min(d[0] for d in delayed) - now),
-                        )
-                    )
-                continue
-            ready = _wait_ready(
-                [w.connection for w in busy], timeout=_POLL_INTERVAL
-            )
-            now = time.monotonic()
-            for worker in busy:
-                if worker.connection in ready:
-                    if not _collect_reply(worker, run, now, requeue):
-                        workers = _replace(
-                            workers, worker, context, work_remains()
-                        )
-                elif not worker.process.is_alive():
-                    # Died without reporting (segfault, os._exit): give
-                    # any in-flight reply a last chance, then classify
-                    # the death as transient.
-                    if not _collect_reply(worker, run, now, requeue):
-                        index, task = worker.index, worker.task
-                        run.spend(index, now - worker.started)
-                        worker.clear()
-                        if run.may_retry(index):
-                            run.note_requeue(index)
-                            requeue(index, task)
-                        else:
-                            _run_local_once(index, task, run, "fallback")
-                    workers = _replace(
-                        workers, worker, context, work_remains()
-                    )
-                elif (
-                    task_deadline is not None
-                    and now - worker.started > task_deadline
-                ):
-                    elapsed = now - worker.started
-                    index, task = worker.index, worker.task
-                    worker.process.terminate()
-                    worker.process.join(timeout=5.0)
-                    run.spend(index, elapsed)
-                    worker.clear()
-                    if run.may_retry(index):
-                        run.note_requeue(index)
-                        requeue(index, task)
-                    else:
-                        run.finish(
-                            index, task, "timeout", worker.process.pid,
-                            task.on_timeout(elapsed),
-                            error={
-                                "exc": (
-                                    f"deadline exceeded ({elapsed:.3g}s"
-                                    f" > {task_deadline:.3g}s)"
-                                ),
-                                "transient": True,
-                            },
-                        )
-                    workers = _replace(
-                        workers, worker, context, work_remains()
-                    )
-    finally:
-        for worker in workers:
-            worker.stop()
-
-
-def _collect_reply(worker, run: _Run, now, requeue) -> bool:
-    """Receive one reply from ``worker`` if available; ``True`` on success."""
-    try:
-        if not worker.connection.poll():
-            return False
-        index, status, payload = worker.connection.recv()
-    except (EOFError, OSError):
-        return False
-    task = worker.task
-    run.spend(index, now - worker.started)
-    worker.clear()
-    if status == "ok":
-        run.finish(index, task, "ok", worker.process.pid, payload)
-        return True
-    if payload.get("transient") and run.may_retry(index):
-        requeue(index, task)
-        return True
-    run.finish(
-        index, task, "error", worker.process.pid,
-        task.on_error(payload.get("exc", "task error")), error=payload,
-    )
-    return True
-
-
-def _replace(workers, dead, context, work_remains):
-    """Swap a stopped worker for a fresh one (only while work remains)."""
-    remaining = [w for w in workers if w is not dead]
-    if dead.process.is_alive():
-        return workers  # still healthy — keep it
-    dead.stop()
-    if work_remains:
+    def __init__(self, client, policy: RetryPolicy, warmup=None, keep=False):
+        self.client = client
+        self.policy = policy
+        self.warmup = warmup
+        self.keep = keep
         try:
-            remaining.append(_spawn_worker(context))
+            self.context = multiprocessing.get_context("fork")
+        except ValueError:  # platforms without fork: spawn still works,
+            self.context = multiprocessing.get_context()  # caches warm/worker
+        self.workers: list[_Worker] = []
+        self.pending: deque[_Job] = deque()
+        self.delayed: list[tuple[float, int, _Job]] = []  # (due, seq, job)
+        self._seq = itertools.count()
+        self.deaths = 0
+        self.deadline_kills = 0
+        self.respawns = 0
+
+    def start(self, jobs: int) -> None:
+        for _ in range(jobs):
+            if not self._spawn():
+                break
+
+    def submit(self, job: _Job) -> None:
+        self.pending.append(job)
+
+    @property
+    def idle(self) -> bool:
+        """No job queued, backing off or in flight (warm-ups aside)."""
+        return not (
+            self.pending
+            or self.delayed
+            or any(w.job and not w.job.warmup for w in self.workers)
+        )
+
+    def run(self, jobs: int) -> None:
+        """Start ``jobs`` workers, drive every submitted job to its
+        outcome, then stop them."""
+        try:
+            self.start(jobs)
+            while not self.idle:
+                self.step()
+        finally:
+            self.stop()
+
+    def stop(self) -> None:
+        for worker in self.workers:
+            worker.stop()
+        self.workers = []
+
+    def step(self, timeout: float = _POLL_INTERVAL) -> bool:
+        """Dispatch, then wait up to ``timeout`` for replies, deaths and
+        deadlines. ``False`` when there was nothing to wait for."""
+        now = time.monotonic()
+        if not self.workers:
+            # No usable pool: run whatever remains in this process.
+            self._promote(float("inf"))
+            while self.pending:
+                self.client.run_here(self.pending.popleft(), "ok")
+            return False
+        self._promote(now)
+        self._dispatch()
+        busy = [w for w in self.workers if w.job is not None]
+        if not busy:
+            if not self.delayed:
+                return False
+            due = min(entry[0] for entry in self.delayed)
+            time.sleep(min(timeout, max(0.0, due - now)))
+            return True
+        ready = _wait_ready([w.connection for w in busy], timeout=timeout)
+        now = time.monotonic()
+        for worker in busy:
+            if worker.connection in ready or not worker.process.is_alive():
+                self._collect(worker, now)
+            elif (
+                worker.job.deadline is not None
+                and now - worker.started > worker.job.deadline
+            ):
+                self._kill(worker, now)
+        return True
+
+    # -- internals -----------------------------------------------------
+
+    def _spawn(self) -> bool:
+        """Start one worker (looking ``_worker_loop`` up now, so a
+        patched loop takes effect); ``False`` if it cannot start."""
+        try:
+            parent_end, child_end = self.context.Pipe(duplex=True)
+            process = self.context.Process(
+                target=_worker_main,
+                args=(_worker_loop, child_end, parent_end),
+                daemon=True,
+            )
+            process.start()
         except (OSError, ValueError):
+            return False
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        self.workers.append(worker)
+        if self.warmup is not None:
+            try:
+                parent_end.send((0, self.warmup))
+            except Exception:
+                pass  # warm-up is best-effort
+            else:
+                worker.job = _Job(self.warmup, warmup=True)
+                worker.started = time.monotonic()
+        return True
+
+    def _promote(self, now: float) -> None:
+        """Move jobs whose backoff has elapsed onto the pending queue."""
+        if not self.delayed:
+            return
+        due = sorted(entry for entry in self.delayed if entry[0] <= now)
+        if due:
+            self.delayed = [entry for entry in self.delayed if entry[0] > now]
+            self.pending.extend(job for _due, _seq, job in due)
+
+    def _dispatch(self) -> None:
+        for worker in self.workers:
+            if worker.job is not None or not self.pending:
+                continue
+            job = self.pending.popleft()
+            job.announce(job.attempts + 1)
+            try:
+                worker.connection.send((job.index, job.task))
+            except Exception:
+                # Unpicklable task or torn pipe: run it here instead.
+                self.client.run_here(job, "ok")
+                continue
+            job.attempts += 1
+            job.pids.append(worker.process.pid)
+            worker.job = job
+            worker.started = time.monotonic()
+
+    def _retry(self, job: _Job, requeue: bool = False) -> bool:
+        """Schedule another attempt after the backoff, if allowed.
+
+        ``requeue`` marks an infrastructure failure (death, deadline
+        kill) rather than the task's own transient error.
+        """
+        if not self.policy.allows(job.attempts):
+            return False
+        job.requeues += requeue
+        due = time.monotonic() + self.policy.delay(job.attempts, job.index)
+        self.delayed.append((due, next(self._seq), job))
+        return True
+
+    def _collect(self, worker: _Worker, now: float) -> None:
+        """Take the worker's reply; no reply means the worker died."""
+        job, worker.job = worker.job, None
+        job.wall_s += now - worker.started
+        pid = worker.process.pid
+        reply = None
+        try:
+            if worker.connection.poll():
+                reply = worker.connection.recv()
+        except (EOFError, OSError):
             pass
-    return remaining
+        if reply is None:
+            self.deaths += 1
+            retried = job.warmup or self._retry(job, requeue=True)
+            self._replace(worker)
+            if not retried:
+                self.client.run_here(job, "fallback")
+            return
+        if not worker.process.is_alive():  # replied, then exited
+            self._replace(worker)
+        if job.warmup:
+            return
+        _index, status, payload = reply
+        if status == "ok":
+            self.client.on_result(job, payload, pid)
+        elif not (payload.get("transient") and self._retry(job)):
+            self.client.on_error(job, payload, pid)
+
+    def _kill(self, worker: _Worker, now: float) -> None:
+        """Terminate a worker whose job outran its deadline."""
+        job, worker.job = worker.job, None
+        elapsed = now - worker.started
+        job.wall_s += elapsed
+        worker.process.terminate()
+        worker.process.join(timeout=5.0)
+        self.deadline_kills += 1
+        retried = self._retry(job, requeue=True)
+        self._replace(worker)
+        if not retried:
+            self.client.on_timeout(job, elapsed, worker.process.pid)
+
+    def _replace(self, worker: _Worker) -> None:
+        """Swap a lost worker for a fresh one, while one is wanted."""
+        self.workers.remove(worker)
+        worker.stop()
+        if (self.keep or self.pending or self.delayed) and self._spawn():
+            self.respawns += 1

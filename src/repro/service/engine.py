@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..runner import CampaignStats, resolve_shards, run_sharded, run_tasks
+from ..runner import CampaignStats, run_tasks
 
 __all__ = ["CampaignEngine"]
 
@@ -37,14 +37,6 @@ class CampaignEngine:
     :class:`repro.runner.RetryPolicy` (or int shorthand), and ``stats``
     accumulates the campaign summary counters across every ``run``
     call that shares this engine.
-
-    ``shards`` routes campaigns through the fault-tolerant shard
-    supervisor (:func:`repro.runner.run_sharded`) instead of the flat
-    process pool: ``None`` honours the ``REPRO_SHARDS`` env override
-    and otherwise stays unsharded, a resolved count of 1 is exactly
-    ``run_tasks``. ``shard_opts`` passes supervisor knobs through
-    (``heartbeat_s``, ``lease_ttl``, ``window``, ``chaos``, ``watch``,
-    ``watch_interval``, ``max_requeues``).
     """
 
     jobs: int | None = 1
@@ -53,8 +45,6 @@ class CampaignEngine:
     journal: object | None = None
     retry: object | None = None
     stats: CampaignStats = field(default_factory=CampaignStats)
-    shards: int | None = None
-    shard_opts: dict = field(default_factory=dict)
 
     @classmethod
     def ensure(
@@ -66,8 +56,6 @@ class CampaignEngine:
         journal=None,
         retry=None,
         stats=None,
-        shards=None,
-        shard_opts=None,
     ) -> "CampaignEngine":
         """``engine`` if given, else one built from the legacy kwargs.
 
@@ -80,28 +68,14 @@ class CampaignEngine:
             return engine
         built = cls(
             jobs=jobs, task_deadline=task_deadline, timing=timing,
-            journal=journal, retry=retry, shards=shards,
+            journal=journal, retry=retry,
         )
         if stats is not None:
             built.stats = stats
-        if shard_opts is not None:
-            built.shard_opts = dict(shard_opts)
         return built
 
     def run(self, tasks) -> list:
         """Run ``tasks`` under this engine's context, in submission order."""
-        if resolve_shards(self.shards) > 1:
-            return run_sharded(
-                tasks,
-                shards=self.shards,
-                journal=self.journal,
-                retry=self.retry,
-                stats=self.stats,
-                collect=self.timing,
-                task_deadline=self.task_deadline,
-                jobs=self.jobs,
-                **self.shard_opts,
-            )
         return run_tasks(
             tasks,
             jobs=self.jobs,

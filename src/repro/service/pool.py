@@ -2,25 +2,23 @@
 
 :func:`repro.runner.run_tasks` spins its pool up per campaign and tears
 it down after; a serving layer cannot afford that. :class:`WarmPool`
-keeps the same shared-nothing workers (:func:`repro.runner.core._spawn_worker`
-/ ``_worker_loop`` — the identical ``(index, task) -> (index, status,
-payload)`` pipe protocol) resident across requests:
+keeps the runner's shared-nothing workers resident across requests,
+supervised by the same :class:`repro.runner.core._Supervisor` that runs
+campaigns, so deaths, deadlines and retries mean the same thing here:
 
 * every fresh worker runs a **warm-up task** before it takes requests,
   precompiling the svec bases, the Lyapunov coefficient tensors and
   (optionally) the exact closed-loop mode matrices of named benchmark
   cases — the per-process ``lru_cache``\\ s that dominate cold-request
   latency;
-* a dispatcher thread multiplexes submissions onto idle workers and
-  enforces **per-request deadlines** with the runner's semantics: the
-  worker is terminated, a fresh (re-warmed) worker replaces it, and
-  the request retries under the :class:`repro.runner.RetryPolicy`
-  until its attempts are exhausted;
+* a dispatcher thread feeds submissions to the supervisor, which
+  enforces **per-request deadlines**: the worker is terminated, a
+  fresh (re-warmed) worker replaces it, and the request retries under
+  the :class:`repro.runner.RetryPolicy` until its attempts are
+  exhausted;
 * a worker that **dies mid-request** (segfault, ``os._exit``, chaos
-  kill) is detected the same way the runner detects it — reply pipe
-  readable or process dead without a reply — and the request retries
-  on a fresh warm worker, with every attempt's worker pid recorded in
-  the outcome's provenance.
+  kill) has its request retried on a fresh warm worker, with every
+  attempt's worker pid recorded in the outcome's provenance.
 
 Futures resolve to a :class:`PoolOutcome` — ``(result, attempts,
 workers)`` — so callers (the certification service) can attach
@@ -30,16 +28,20 @@ certificates.
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 import queue
 import threading
-import time
-from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_ready
 
 from ..runner import RetryPolicy, Task
-from ..runner.core import _POLL_INTERVAL, _spawn_worker
+from ..runner.core import (
+    _POLL_INTERVAL,
+    _Job,
+    _resolve_retry,
+    _Supervisor,
+    resolve_jobs,
+)
 
 __all__ = ["WarmPool", "PoolOutcome", "PoolDeadlineError", "WarmupTask"]
 
@@ -89,17 +91,12 @@ class WarmupTask(Task):
         return os.getpid()
 
 
-class _Request:
-    __slots__ = ("task", "deadline", "future", "attempts", "workers",
-                 "warmup")
+class _Request(_Job):
+    __slots__ = ("future",)
 
-    def __init__(self, task, deadline, future, warmup=False):
-        self.task = task
-        self.deadline = deadline
-        self.future = future
-        self.attempts = 0
-        self.workers: list = []
-        self.warmup = warmup
+    def __init__(self, task, index, deadline):
+        super().__init__(task, index, deadline)
+        self.future: Future = Future()
 
 
 class WarmPool:
@@ -121,25 +118,23 @@ class WarmPool:
         warm_sizes=(),
         warm_cases=(),
     ):
-        from ..runner.core import _resolve_retry, resolve_jobs
-
         self.jobs = resolve_jobs(jobs)
         self.policy = _resolve_retry(retry)
         self.warm_sizes = tuple(warm_sizes)
         self.warm_cases = tuple(warm_cases)
+        warmup = (
+            WarmupTask(self.warm_sizes, self.warm_cases)
+            if self.warm_sizes or self.warm_cases else None
+        )
+        self._supervisor = _Supervisor(self, self.policy, warmup, keep=True)
         self._inbox: queue.Queue = queue.Queue()
         self._shutdown = threading.Event()
-        self._started = False
-        self._start_lock = threading.Lock()
+        # Guards the closed-check + put in submit against close(): a
+        # request is either refused or queued before shutdown is set.
+        self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:
-            self._context = multiprocessing.get_context()
+        self._numbers = itertools.count()
         self.tasks_done = 0
-        self.worker_deaths = 0
-        self.deadline_kills = 0
-        self.respawns = 0
         self.inline_fallbacks = 0
 
     # -- public API ----------------------------------------------------
@@ -147,14 +142,30 @@ class WarmPool:
     def submit(self, task: Task, deadline: float | None = None):
         """Queue ``task``; returns a future resolving to a
         :class:`PoolOutcome` (or raising on exhausted retries)."""
-        from concurrent.futures import Future
-
-        if self._shutdown.is_set():
-            raise RuntimeError("pool is closed")
-        self._ensure_started()
-        request = _Request(task, deadline, Future())
-        self._inbox.put(request)
+        request = _Request(task, next(self._numbers), deadline)
+        with self._lock:
+            if self._shutdown.is_set():
+                raise RuntimeError("pool is closed")
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="warm-pool-dispatcher",
+                    daemon=True,
+                )
+                self._thread.start()
+            self._inbox.put(request)
         return request.future
+
+    @property
+    def worker_deaths(self) -> int:
+        return self._supervisor.deaths
+
+    @property
+    def deadline_kills(self) -> int:
+        return self._supervisor.deadline_kills
+
+    @property
+    def respawns(self) -> int:
+        return self._supervisor.respawns
 
     def counters(self) -> dict:
         return {
@@ -167,12 +178,11 @@ class WarmPool:
         }
 
     def close(self) -> None:
-        if not self._started or self._shutdown.is_set():
+        with self._lock:
             self._shutdown.set()
-            return
-        self._shutdown.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
+            thread = self._thread
+        if thread is not None:
+            thread.join(timeout=30.0)
 
     def __enter__(self) -> "WarmPool":
         return self
@@ -182,223 +192,71 @@ class WarmPool:
 
     # -- dispatcher ----------------------------------------------------
 
-    def _ensure_started(self) -> None:
-        with self._start_lock:
-            if self._started:
-                return
-            self._started = True
-            self._thread = threading.Thread(
-                target=self._loop, name="warm-pool-dispatcher", daemon=True
-            )
-            self._thread.start()
-
-    def _spawn_warm(self):
-        """A fresh worker with its warm-up request already in flight."""
-        worker = _spawn_worker(self._context)
-        if self.warm_sizes or self.warm_cases:
-            warmup = _Request(
-                WarmupTask(self.warm_sizes, self.warm_cases),
-                deadline=None, future=None, warmup=True,
-            )
-            try:
-                worker.connection.send((0, warmup.task))
-            except Exception:
-                return worker  # warm-up is best-effort
-            worker.index, worker.task = 0, warmup
-            worker.started = time.monotonic()
-        return worker
-
     def _loop(self) -> None:
-        workers = []
-        pending: deque[_Request] = deque()
+        supervisor = self._supervisor
         try:
-            for _ in range(self.jobs):
-                try:
-                    workers.append(self._spawn_warm())
-                except (OSError, ValueError):
-                    break
+            supervisor.start(self.jobs)
+            waited = True
             while True:
-                self._drain_inbox(pending)
+                self._drain_inbox(block=not waited)
+                # Shutdown is read before the inbox: every request put
+                # before shutdown was set is seen here.
                 if (
                     self._shutdown.is_set()
-                    and not pending
-                    and not any(w.busy for w in workers)
+                    and supervisor.idle
                     and self._inbox.empty()
                 ):
                     break
-                if not workers:
-                    # Pool unusable: degrade to in-thread execution so
-                    # submissions still complete.
-                    while pending:
-                        self._run_inline(pending.popleft())
-                    if self._shutdown.is_set() and self._inbox.empty():
-                        break
-                    self._drain_inbox(pending, block=True)
-                    continue
-                for worker in workers:
-                    if not worker.busy and pending:
-                        self._dispatch(worker, pending)
-                busy = [w for w in workers if w.busy]
-                if not busy:
-                    self._drain_inbox(pending, block=True)
-                    continue
-                ready = _wait_ready(
-                    [w.connection for w in busy], timeout=_POLL_INTERVAL
-                )
-                now = time.monotonic()
-                for worker in busy:
-                    if worker.connection in ready:
-                        if not self._collect(worker, pending):
-                            # Ready but unreadable: the worker died (or
-                            # its pipe tore) mid-request.
-                            self._on_death(worker, pending)
-                            workers = self._replace(
-                                workers, worker, force=True
-                            )
-                    elif not worker.process.is_alive():
-                        if not self._collect(worker, pending):
-                            self._on_death(worker, pending)
-                        workers = self._replace(workers, worker)
-                    elif self._overdue(worker, now):
-                        self._on_deadline(worker, now, pending)
-                        workers = self._replace(workers, worker)
+                supervisor.keep = not self._shutdown.is_set()
+                waited = supervisor.step()
         finally:
-            for worker in workers:
-                worker.stop()
-            # Anything still queued after shutdown resolves inline so no
-            # future is ever left dangling.
-            self._drain_inbox(pending)
-            while pending:
-                self._run_inline(pending.popleft())
+            supervisor.stop()
+            # Anything still queued resolves inline so no future is ever
+            # left dangling.
+            self._drain_inbox()
+            supervisor.step()
 
-    def _drain_inbox(self, pending: deque, block: bool = False) -> None:
+    def _drain_inbox(self, block: bool = False) -> None:
         try:
             timeout = _POLL_INTERVAL if block else None
             while True:
-                pending.append(
+                self._supervisor.submit(
                     self._inbox.get(block=block, timeout=timeout)
                 )
                 block = False  # only the first get may wait
         except queue.Empty:
             pass
 
-    def _dispatch(self, worker, pending: deque) -> None:
-        request = pending.popleft()
-        request.attempts += 1
-        try:
-            request.task.on_attempt(request.attempts)
-        except Exception:
-            pass
-        try:
-            worker.connection.send((0, request.task))
-        except Exception:
-            # Unpicklable task or torn pipe: run it in this thread.
-            self._run_inline(request)
-            return
-        request.workers.append(worker.process.pid)
-        worker.index, worker.task = 0, request
-        worker.started = time.monotonic()
+    # -- supervisor callbacks ------------------------------------------
 
-    def _overdue(self, worker, now: float) -> bool:
-        request = worker.task
-        return (
-            not request.warmup
-            and request.deadline is not None
-            and now - worker.started > request.deadline
-        )
-
-    # -- completion paths ----------------------------------------------
-
-    def _collect(self, worker, pending: deque) -> bool:
-        """Receive one reply if available; ``True`` on success."""
-        try:
-            if not worker.connection.poll():
-                return False
-            _index, status, payload = worker.connection.recv()
-        except (EOFError, OSError):
-            return False
-        request = worker.task
-        worker.clear()
-        if request.warmup:
-            return True
-        if status == "ok":
-            self.tasks_done += 1
-            request.future.set_result(
-                PoolOutcome(payload, request.attempts, request.workers)
-            )
-            return True
-        if payload.get("transient") and self._may_retry(request):
-            pending.append(request)
-            return True
-        request.future.set_exception(
-            RuntimeError(payload.get("exc", "task error"))
-        )
-        return True
-
-    def _may_retry(self, request: _Request) -> bool:
-        return request.attempts <= self.policy.retries
-
-    def _on_death(self, worker, pending: deque) -> None:
-        """Worker died without reporting: retry on a fresh warm worker."""
-        request = worker.task
-        worker.clear()
-        self.worker_deaths += 1
-        if request.warmup:
-            return
-        if self._may_retry(request):
-            pending.append(request)
-        else:
-            self._run_inline(request)
-
-    def _on_deadline(self, worker, now: float, pending: deque) -> None:
-        request = worker.task
-        elapsed = now - worker.started
-        worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        worker.clear()
-        self.deadline_kills += 1
-        if request.warmup:
-            return
-        if self._may_retry(request):
-            # The retry gets a fresh clock on a fresh worker; its
-            # deadline still applies per attempt.
-            pending.appendleft(request)
-        else:
-            request.future.set_exception(
-                PoolDeadlineError(
-                    f"deadline exceeded ({elapsed:.3g}s"
-                    f" > {request.deadline:.3g}s)"
-                    f" after {request.attempts} attempt(s)"
-                )
-            )
-
-    def _replace(self, workers, dead, force: bool = False):
-        """Swap a dead/stopped worker for a fresh warmed one."""
-        if dead.process.is_alive() and not force:
-            return workers
-        remaining = [w for w in workers if w is not dead]
-        dead.stop()
-        if not self._shutdown.is_set():
-            try:
-                remaining.append(self._spawn_warm())
-                self.respawns += 1
-            except (OSError, ValueError):
-                pass
-        return remaining
-
-    def _run_inline(self, request: _Request) -> None:
-        """Last-resort in-thread execution (pool unusable)."""
-        if request.warmup:
-            return
-        self.inline_fallbacks += 1
-        request.attempts += 1
-        request.workers.append(None)
-        try:
-            result = request.task.run()
-        except BaseException as exc:
-            request.future.set_exception(exc)
-            return
+    def on_result(self, request: _Request, result, worker) -> None:
         self.tasks_done += 1
         request.future.set_result(
-            PoolOutcome(result, request.attempts, request.workers)
+            PoolOutcome(result, request.attempts, request.pids)
         )
+
+    def on_error(self, request: _Request, error: dict, worker) -> None:
+        request.future.set_exception(
+            RuntimeError(error.get("exc", "task error"))
+        )
+
+    def on_timeout(self, request: _Request, elapsed: float, worker) -> None:
+        request.future.set_exception(
+            PoolDeadlineError(
+                f"deadline exceeded ({elapsed:.3g}s"
+                f" > {request.deadline:.3g}s)"
+                f" after {request.attempts} attempt(s)"
+            )
+        )
+
+    def run_here(self, request: _Request, status: str) -> None:
+        """Last-resort in-thread execution (no usable worker)."""
+        self.inline_fallbacks += 1
+        request.attempts += 1
+        request.pids.append(None)
+        try:
+            result = request.task.run()
+        except Exception as exc:
+            request.future.set_exception(exc)
+            return
+        self.on_result(request, result, None)

@@ -1,11 +1,14 @@
 """Tests for the crash-safe result journal (repro.runner.journal).
 
 Property-based coverage of the tagged encoding (exact round-trip),
-fingerprint stability (including across processes), and the torn-line
-tolerance that makes mid-write crashes recoverable.
+fingerprint stability (including across processes), the torn-line
+tolerance that makes mid-write crashes recoverable, and the
+order-invariant journal digest with its ``digest`` command.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,9 +23,12 @@ from repro.runner import (
     JOURNAL_SALT,
     Journal,
     Task,
+    journal_digest,
     task_fingerprint,
 )
 from repro.runner.journal import decode_value, encode_value
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class SpecTask(Task):
@@ -310,3 +316,77 @@ class TestRunTasksReplay:
         assert results == list(range(6))
         assert stats.replayed == 2
         assert stats.executed == 4
+
+
+# ----------------------------------------------------------------------
+# The order-invariant digest
+# ----------------------------------------------------------------------
+
+def _raw_line(fp, value):
+    return (
+        json.dumps(
+            {
+                "v": 1, "fp": fp, "kind": "T", "status": "ok",
+                "attempts": 1, "error": None, "result": value,
+            },
+            separators=(",", ":"),
+        ).encode()
+        + b"\n"
+    )
+
+
+entry_lines = st.dictionaries(
+    st.text(alphabet="0123456789abcdef", min_size=8, max_size=8),
+    st.integers(-1000, 1000), min_size=1, max_size=10,
+).map(lambda entries: [_raw_line(fp, v) for fp, v in entries.items()])
+
+
+class TestDigest:
+    @staticmethod
+    def _digest(tmp_path, name, lines):
+        path = tmp_path / name
+        path.write_bytes(b"".join(lines))
+        return journal_digest(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=entry_lines, data=st.data())
+    def test_digest_invariant_under_permutation(self, tmp_path_factory,
+                                                lines, data):
+        tmp = tmp_path_factory.mktemp("perm")
+        shuffled = data.draw(st.permutations(lines))
+        assert self._digest(tmp, "a", lines) == self._digest(
+            tmp, "b", shuffled
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=entry_lines, data=st.data())
+    def test_duplicate_lines_collapse(self, tmp_path_factory, lines, data):
+        """A task journaled twice (re-run after a kill) counts once."""
+        tmp = tmp_path_factory.mktemp("dup")
+        repeated = data.draw(st.lists(st.sampled_from(lines), max_size=5))
+        assert self._digest(tmp, "a", lines) == self._digest(
+            tmp, "b", lines + repeated
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=entry_lines)
+    def test_torn_tail_is_skipped(self, tmp_path_factory, lines):
+        tmp = tmp_path_factory.mktemp("torn")
+        torn = _raw_line("deadbeef", 1)[:-10]  # no trailing newline
+        assert self._digest(tmp, "a", lines) == self._digest(
+            tmp, "b", lines + [torn]
+        )
+
+    def test_digest_command(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(_raw_line("aa", 1) + _raw_line("bb", 2))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.runner.journal", "digest",
+             str(path)],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0
+        digest, count = proc.stdout.split()
+        assert digest == journal_digest(path)
+        assert count == "2"

@@ -118,6 +118,17 @@ class FlakyDieTask(Task):
         return ("ok", self.attempt)
 
 
+class DieOnceTask(FlakyDieTask):
+    """Kills its worker on attempt 1; then reports where it ran."""
+
+    def __init__(self):
+        super().__init__(succeed_on=2)
+
+    def run(self):
+        super().run()
+        return self.attempt, os.getpid() != self.parent_pid
+
+
 class PermanentCrashTask(Task):
     """A domain error: must never be retried."""
 
@@ -264,7 +275,27 @@ class TestRetry:
             retry=RetryPolicy(retries=2, backoff=0.001), stats=stats,
         )
         assert results == [("ok", 2), 5]
-        assert stats.retried_tasks == 1
+        # A worker death is an infrastructure requeue, not a policy retry.
+        assert stats.requeued_tasks == 1
+        assert stats.retried_tasks == 0
+
+    def test_worker_death_requeued_onto_a_worker(self):
+        """However the death is seen (pipe EOF or a dead process), the
+        task is requeued onto a worker, not re-run in this process."""
+        collector = TimingCollector()
+        stats = CampaignStats()
+        (attempt, in_worker), other = run_tasks(
+            [DieOnceTask(), EchoTask(5)], jobs=2,
+            retry=RetryPolicy(retries=1, backoff=0.001),
+            collect=collector, stats=stats,
+        )
+        assert (attempt, in_worker, other) == (2, True, 5)
+        timing, = [t for t in collector.timings if t.key is None]
+        assert timing.worker != "local"
+        assert (timing.attempts, timing.requeues) == (2, 1)
+        assert stats.requeued_tasks == 1
+        assert stats.requeue_attempts == 1
+        assert stats.retried_tasks == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_permanent_failure_not_retried(self, jobs):
@@ -290,6 +321,35 @@ class TestRetry:
         entries = data["experiments"]["t"]["tasks"]
         assert entries[0]["attempts"] == 2
         assert entries[1]["attempts"] == 1
+
+
+class TestCampaignCounters:
+    def test_requeued_hidden_when_zero(self):
+        stats = CampaignStats(total=3, executed=3)
+        assert "requeued" not in stats.summary()
+
+    def test_requeued_rendered(self):
+        stats = CampaignStats(
+            total=3, executed=3, requeued_tasks=2, requeue_attempts=3,
+        )
+        assert "2 requeued (+3 attempts)" in stats.summary()
+
+    def test_counters_snapshot(self):
+        counters = CampaignStats(requeued_tasks=1).counters()
+        assert counters["requeued_tasks"] == 1
+        assert set(counters) == {
+            "total", "executed", "replayed", "retried_tasks",
+            "retry_attempts", "requeued_tasks", "requeue_attempts",
+            "degraded", "errors", "timeouts", "journal_errors",
+        }
+
+    def test_write_bench_records_campaign(self, tmp_path):
+        stats = CampaignStats(total=5, executed=4, replayed=1)
+        data = write_bench(
+            tmp_path / "bench.json", "t", TimingCollector(), jobs=2,
+            quick=True, total_wall_s=1.0, stats=stats,
+        )
+        assert data["experiments"]["t"]["campaign"] == stats.counters()
 
 
 class TestTimingArtifact:

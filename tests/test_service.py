@@ -11,7 +11,11 @@ accelerated path must reproduce the direct path's
 
 import asyncio
 import os
+import pathlib
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +44,8 @@ from repro.service import (
     certify,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 #: A small Hurwitz matrix certifiable in well under a millisecond via
 #: the shift backend; the standard fast request for these tests.
 STABLE = [[-1.0, 0.25], [0.0, -2.0]]
@@ -58,9 +64,21 @@ def fast_request(service, a=STABLE, **kwargs):
 
 class HangTask(Task):
     def run(self):
-        import time
-
         time.sleep(600)
+
+
+class SleepTask(Task):
+    def run(self):
+        time.sleep(0.3)
+
+
+def _running(pid) -> bool:
+    """Alive and not a zombie (an orphan's exit may go unreaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +351,61 @@ class TestWarmPool:
             STABLE, method="lmi", backend="shift", sigfigs=6
         ).run()
         assert cert.identity() == direct.identity()
+
+    def test_submit_racing_close_never_hangs(self):
+        """A close() landing between submit's closed-check and its put
+        must either refuse the request or still resolve it."""
+        pool = WarmPool(jobs=1)
+        real_put = pool._inbox.put
+
+        def put_after_close(item, *args, **kwargs):
+            closer = threading.Thread(target=pool.close)
+            closer.start()
+            closer.join(timeout=2.0)  # returns early only if unguarded
+            real_put(item, *args, **kwargs)
+
+        pool._inbox.put = put_after_close
+        try:
+            future = pool.submit(
+                CertifyTask(STABLE, method="lmi", backend="shift", sigfigs=6)
+            )
+        except RuntimeError as exc:
+            assert str(exc) == "pool is closed"
+        else:
+            assert future.result(timeout=30).attempts == 1
+        finally:
+            pool.close()
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            pool.submit(HangTask())
+
+    def test_idle_workers_exit_when_supervisor_is_killed(self):
+        """A SIGKILLed supervisor leaves no worker behind: each worker
+        sees its pipe close and exits."""
+        script = (
+            "from repro.service import WarmPool\n"
+            "from tests.test_service import SleepTask\n"
+            "pool = WarmPool(jobs=2)\n"
+            "for f in [pool.submit(SleepTask()) for _ in range(2)]:\n"
+            "    f.result(timeout=60)\n"
+            "print(*[w.process.pid for w in pool._supervisor.workers],"
+            " flush=True)\n"
+            "import time; time.sleep(600)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": f"{ROOT / 'src'}:{ROOT}"},
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and any(map(_running, pids)):
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
 
     def test_pool_outcome_shape(self):
         with WarmPool(jobs=1) as pool:
