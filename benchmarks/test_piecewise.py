@@ -20,16 +20,22 @@ times and phase breakdowns land in the ``piecewise`` section of
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-import warnings
 
+import numpy as np
 import pytest
 
 from repro.engine import case_by_name
-from repro.lyapunov import ENCODINGS, synthesize_piecewise
+from repro.lyapunov import (
+    ENCODINGS,
+    PiecewiseCandidate,
+    assemble_piecewise_lmi,
+    solve_hybrid,
+    synthesize_piecewise,
+)
 from repro.runner import write_section
+from repro.sdp import solve_lmi_barrier, solve_lmi_ellipsoid
 from repro.validate import validate_piecewise
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / (
@@ -52,10 +58,9 @@ def switched_size3():
     return case.switched_system(case.reference())
 
 
-def test_hybrid_pipeline_speedup_pin(switched_size3):
+def test_hybrid_pipeline_speedup_pin(switched_size3, perf_pin):
     """The tentpole pin: >=5x over the seed per-block oracle, both
     encodings, verdicts preserved, phases recorded in the artifact."""
-    soft = bool(os.environ.get("REPRO_PERF_SOFT"))
     sections = {}
     for encoding in ENCODINGS:
         started = time.perf_counter()
@@ -68,7 +73,6 @@ def test_hybrid_pipeline_speedup_pin(switched_size3):
             "seed_synth_s": SEED_SYNTH_S[encoding],
             "synth_s": measured,
             "speedup": speedup,
-            "solver": candidate.info["solver"],
             "iterations": candidate.iterations,
             "polish_iterations": candidate.info["polish_iterations"],
             "phases": dict(candidate.info["phases"]),
@@ -84,18 +88,11 @@ def test_hybrid_pipeline_speedup_pin(switched_size3):
         assert report.valid is not True, encoding
         sections[encoding]["validation_valid"] = report.valid
 
-        floor = SOFT_FLOOR_SPEEDUP if soft else PIN_SPEEDUP
-        if soft and speedup < PIN_SPEEDUP:
-            warnings.warn(
-                f"piecewise[{encoding}]: speedup {speedup:.1f}x below "
-                f"the {PIN_SPEEDUP:g}x pin (soft mode, floor "
-                f"{SOFT_FLOOR_SPEEDUP:g}x)",
-                stacklevel=1,
-            )
-        assert speedup >= floor, (
-            f"piecewise[{encoding}]: {measured:.2f}s is only "
-            f"{speedup:.1f}x over the seed {SEED_SYNTH_S[encoding]:.2f}s "
-            f"(floor {floor:g}x)"
+        perf_pin.check(
+            f"piecewise[{encoding}]", speedup, PIN_SPEEDUP,
+            SOFT_FLOOR_SPEEDUP,
+            detail=f" ({measured:.2f}s against the seed "
+            f"{SEED_SYNTH_S[encoding]:.2f}s)",
         )
 
     data = write_section(
@@ -105,7 +102,7 @@ def test_hybrid_pipeline_speedup_pin(switched_size3):
             "config": {"case": "size3", "max_iterations": 6_000},
             "pin_speedup": PIN_SPEEDUP,
             "soft_floor_speedup": SOFT_FLOOR_SPEEDUP,
-            "soft_mode": soft,
+            "soft_mode": perf_pin.soft,
             "encodings": sections,
         },
     )
@@ -152,17 +149,23 @@ def test_piecewise_surface_validation(benchmark, switched_size3):
 def test_shape_validation_always_fails(switched_size3, encoding):
     """Both encodings, same outcome — matching the paper verbatim.
 
-    The continuous encoding uses the barrier engine (fast, nontrivial
-    best iterate); the relaxed one — whose 111-dimensional barrier
-    centering is slow — uses a moderate ellipsoid budget, which also
-    yields a nontrivial iterate. A near-zero candidate would make the
-    surface difference vanish identically (trivially 'valid' but
-    meaningless), so nontriviality is asserted first."""
-    import numpy as np
-
+    The continuous encoding uses the barrier engine alone on the
+    assembled system (fast, nontrivial best iterate); the relaxed one —
+    whose 111-dimensional barrier centering is slow — uses the pipeline
+    with a moderate ellipsoid budget, which also yields a nontrivial
+    iterate. A near-zero candidate would make the surface difference
+    vanish identically (trivially 'valid' but meaningless), so
+    nontriviality is asserted first."""
     if encoding == "continuous":
-        candidate = synthesize_piecewise(
-            switched_size3, encoding=encoding, solver="barrier"
+        lmi = assemble_piecewise_lmi(switched_size3, encoding)
+        barrier = solve_lmi_barrier(
+            None, dimension=lmi.compiled.dimension, radius=50.0,
+            target_margin=0.0, compiled=lmi.compiled,
+        )
+        candidate = PiecewiseCandidate(
+            p=lmi.unpack(barrier.x), encoding=encoding,
+            feasible=barrier.feasible, iterations=barrier.iterations,
+            worst_violation=-barrier.t_star,
         )
     else:
         candidate = synthesize_piecewise(
@@ -188,23 +191,34 @@ def test_shape_lmi_system_is_provably_infeasible(switched_size3):
     assert candidate.info["proved_infeasible"]
 
 
+def _engine(solver, compiled):
+    """One engine on the assembled system, with the pipeline's radius."""
+    if solver == "hybrid":
+        return solve_hybrid(
+            compiled, initial_radius=50.0, max_iterations=4_000,
+            target_margin=0.0,
+        )
+    if solver == "ellipsoid":
+        return solve_lmi_ellipsoid(
+            compiled.blocks, dimension=compiled.dimension,
+            initial_radius=50.0, max_iterations=4_000,
+            raise_on_infeasible=False, sweep_every=16, compiled=compiled,
+        )
+    return solve_lmi_barrier(
+        None, dimension=compiled.dimension, radius=50.0,
+        target_margin=0.0, compiled=compiled,
+    )
+
+
 @pytest.mark.parametrize("solver", ["hybrid", "ellipsoid", "barrier"])
 def test_piecewise_engines(benchmark, switched_size3, solver):
-    """Engine comparison on the same S-procedure system. On this
-    (infeasible) instance the certifying engines grind toward a flat
-    negative optimum; the barrier's advantage shows on *feasible*
+    """Engine comparison on the same assembled S-procedure system. On
+    this (infeasible) instance the certifying engines grind toward a
+    flat negative optimum; the barrier's advantage shows on *feasible*
     instances (tests/test_sdp_barrier.py), while only the ellipsoid
     oracle (alone or as the hybrid burn-in) can prove emptiness."""
-    candidate = benchmark.pedantic(
-        synthesize_piecewise,
-        args=(switched_size3,),
-        kwargs={
-            "encoding": "continuous",
-            "solver": solver,
-            "max_iterations": 4_000,
-        },
-        rounds=1,
-        iterations=1,
+    lmi = assemble_piecewise_lmi(switched_size3, "continuous")
+    result = benchmark.pedantic(
+        _engine, args=(solver, lmi.compiled), rounds=1, iterations=1,
     )
-    assert not candidate.feasible
-    assert candidate.info["solver"] == solver
+    assert not result.feasible

@@ -24,10 +24,8 @@ fingerprints every task at least twice: journal lookup + record).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -92,9 +90,8 @@ def _replay(service: CertificationService, trace) -> dict:
     }
 
 
-def test_service_replay_speedup_pin():
+def test_service_replay_speedup_pin(perf_pin):
     """The tentpole pin: warm replay >=5x faster than the cold pass."""
-    soft = bool(os.environ.get("REPRO_PERF_SOFT"))
     trace = _trace()
     distinct = len({task_fingerprint(t) for t in trace})
     with CertificationService(sigfigs=8) as service:
@@ -112,17 +109,9 @@ def test_service_replay_speedup_pin():
     warm["hit_rate"] = 1.0
 
     speedup = cold["wall_s"] / warm["wall_s"]
-    floor = SOFT_FLOOR_SPEEDUP if soft else PIN_SPEEDUP
-    if soft and speedup < PIN_SPEEDUP:
-        warnings.warn(
-            f"service replay: warm speedup {speedup:.1f}x below the "
-            f"{PIN_SPEEDUP:g}x pin (soft mode, floor "
-            f"{SOFT_FLOOR_SPEEDUP:g}x)",
-            stacklevel=1,
-        )
-    assert speedup >= floor, (
-        f"warm replay {warm['wall_s']:.3f}s is only {speedup:.1f}x over "
-        f"the cold pass {cold['wall_s']:.3f}s (floor {floor:g}x)"
+    perf_pin.check(
+        "service replay", speedup, PIN_SPEEDUP, SOFT_FLOOR_SPEEDUP,
+        detail=f" (warm {warm['wall_s']:.3f}s, cold {cold['wall_s']:.3f}s)",
     )
 
     data = write_section(
@@ -137,7 +126,7 @@ def test_service_replay_speedup_pin():
             },
             "pin_speedup": PIN_SPEEDUP,
             "soft_floor_speedup": SOFT_FLOOR_SPEEDUP,
-            "soft_mode": soft,
+            "soft_mode": perf_pin.soft,
             "warm_over_cold_speedup": speedup,
             "cold": cold,
             "warm": warm,

@@ -28,10 +28,8 @@ than pinned, and ``backend="scalar"`` remains a supported escape.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -70,20 +68,6 @@ def _best_of(fn, reps=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _soft_pin(name, speedup, pin, soft):
-    """Enforce ``speedup >= pin`` (soft mode: warn, floor at pin/2)."""
-    floor = pin / 2 if soft else pin
-    if soft and speedup < pin:
-        warnings.warn(
-            f"icp[{name}]: speedup {speedup:.1f}x below the {pin:g}x pin "
-            f"(soft mode, floor {floor:g}x)",
-            stacklevel=2,
-        )
-    assert speedup >= floor, (
-        f"icp[{name}]: {speedup:.1f}x is below the floor {floor:g}x"
-    )
 
 
 def _definiteness_population():
@@ -129,8 +113,7 @@ def _near_singular_matrix(n=4, margin=Fraction(1, 100)):
     return (m - RationalMatrix.identity(n).scale(shift)).symmetrize()
 
 
-def test_icp_backends_throughput_writes_bench():
-    soft = bool(os.environ.get("REPRO_PERF_SOFT"))
+def test_icp_backends_throughput_writes_bench(perf_pin):
     atoms, boxes = _definiteness_population()
     prepared = prepare_atoms(atoms)
     scalar_solver = IcpSolver(backend="scalar")
@@ -147,7 +130,7 @@ def test_icp_backends_throughput_writes_bench():
     )
     batched_s = _best_of(lambda: classify_boxes(atoms, boxes))
     classify_speedup = scalar_s / batched_s
-    _soft_pin("classify", classify_speedup, PIN_CLASSIFY, soft)
+    perf_pin.check("icp[classify]", classify_speedup, PIN_CLASSIFY)
 
     # End-to-end: budget-limited near-singular refutation, identical
     # verdict and explored-box count required before timing counts.
@@ -173,7 +156,7 @@ def test_icp_backends_throughput_writes_bench():
         reps=2,
     )
     e2e_speedup = e2e_scalar_s / e2e_batched_s
-    _soft_pin("end-to-end", e2e_speedup, PIN_END_TO_END, soft)
+    perf_pin.check("icp[end-to-end]", e2e_speedup, PIN_END_TO_END)
 
     data = write_section(
         BENCH_PATH,
@@ -199,7 +182,7 @@ def test_icp_backends_throughput_writes_bench():
             },
             "pin_classify_speedup": PIN_CLASSIFY,
             "pin_end_to_end_speedup": PIN_END_TO_END,
-            "soft_mode": soft,
+            "soft_mode": perf_pin.soft,
         },
     )
     assert data["schema"] == "repro-bench/2"

@@ -11,11 +11,9 @@ experiment's rendered output as ``<experiment>_full.txt`` (or
 ``_quick``), the files EXPERIMENTS.md references. Unless ``--no-bench``
 is given, per-task wall times are merged into ``BENCH_experiments.json``
 (see :mod:`repro.runner.timing` for the schema) so the performance
-trajectory is tracked across PRs. The piecewise experiment additionally
-takes ``--solver hybrid|ellipsoid|barrier`` (default ``hybrid``: the
-tensorized ellipsoid burn-in + warm-started barrier polish) and
-``--oracle-batch on|off`` (``off`` restores the per-block differential
-separation oracle). The ``cegis`` experiment runs the
+trajectory is tracked across PRs. The ``piecewise`` and ``cegis``
+experiments share one solve: a certifying ellipsoid burn-in followed by
+a warm-started barrier polish. The ``cegis`` experiment runs the
 counterexample-guided refinement loop over both reference regimes
 (``--cegis-rounds`` caps the per-campaign round budget).
 
@@ -123,7 +121,6 @@ def _piecewise(args, timing, campaign) -> str:
     iterations = 6_000 if args.quick else 20_000
     records = run_piecewise(
         case_names=names, max_iterations=iterations,
-        solver=args.solver, oracle_batch=args.oracle_batch == "on",
         engine=_engine(args, timing, campaign),
     )
     if args.json:
@@ -189,18 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--eq-smt-deadline", type=float, default=60.0,
         help="wall-clock budget (s) for the exact eq-smt method",
-    )
-    parser.add_argument(
-        "--solver", choices=("hybrid", "ellipsoid", "barrier"),
-        default="hybrid",
-        help="piecewise synthesis pipeline: tensorized ellipsoid burn-in "
-        "+ warm-started barrier polish (hybrid), certifying ellipsoid "
-        "alone, or barrier alone (piecewise experiment only)",
-    )
-    parser.add_argument(
-        "--oracle-batch", choices=("on", "off"), default="on",
-        help="tensorized batched LMI separation oracle; 'off' runs the "
-        "per-block differential oracle (piecewise experiment only)",
     )
     parser.add_argument(
         "--cegis-rounds", type=int, default=40, metavar="N",

@@ -44,7 +44,6 @@ def run_cegis(
     max_iterations: int = 30_000,
     verify_max_boxes: int = 20_000,
     refute: bool = False,
-    icp_backend: str = "auto",
     jobs: int | None = 1,
     task_deadline: float | None = None,
     timing=None,
@@ -68,7 +67,6 @@ def run_cegis(
             regime=regime, synthesis=synthesis, snap=snap,
             max_rounds=max_rounds, max_iterations=max_iterations,
             verify_max_boxes=verify_max_boxes, refute=refute,
-            icp_backend=icp_backend,
         )
         for name in case_names
         for regime, synthesis in grid

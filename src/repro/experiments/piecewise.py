@@ -25,9 +25,6 @@ def run_piecewise(
     max_iterations: int = 20_000,
     max_boxes: int = 6_000,
     conditions_scope: str = "surface",
-    solver: str = "hybrid",
-    oracle_batch: bool = True,
-    icp_backend: str = "auto",
     jobs: int | None = 1,
     task_deadline: float | None = None,
     timing=None,
@@ -38,13 +35,10 @@ def run_piecewise(
 ) -> list[PiecewiseRecord]:
     """Run the synthesis+validation grid.
 
-    ``solver`` picks the synthesis pipeline per task (``"hybrid"`` =
-    tensorized ellipsoid burn-in + warm-started barrier polish,
-    ``"ellipsoid"`` = certifying deep-cut method alone, ``"barrier"`` =
-    level-shift candidate finder); ``oracle_batch=False`` falls back to
-    the per-block differential separation oracle. ``icp_backend``
-    selects the validation refuter engine (``"auto"|"scalar"|"batched"``).
-    An explicit ``engine`` supersedes the individual runner knobs.
+    Each task synthesizes with the hybrid solve
+    (:func:`repro.lyapunov.solve_hybrid`) and validates the rounded
+    candidate. An explicit ``engine`` supersedes the individual runner
+    knobs.
     """
     from ..runner import PiecewiseTask
     from ..service.engine import CampaignEngine
@@ -54,8 +48,6 @@ def run_piecewise(
             case_name=name, size=case_by_name(name).size, encoding=encoding,
             max_iterations=max_iterations, max_boxes=max_boxes,
             conditions_scope=conditions_scope,
-            solver=solver, oracle_batch=oracle_batch,
-            icp_backend=icp_backend,
         )
         for name in case_names
         for encoding in encodings

@@ -113,8 +113,9 @@ class PiecewiseRecord:
     validation_valid: bool | None
     failed_conditions: list = field(default_factory=list)
     validation_time: float = 0.0
-    #: Synthesis engine ("hybrid" | "ellipsoid" | "barrier"); defaulted
-    #: so pre-existing journals decode into the extended record.
+    #: Synthesis engine, always "hybrid" (the shared ellipsoid + barrier
+    #: solve); kept so the rendered table and old journals keep their
+    #: layout.
     solver: str = "hybrid"
     #: Per-phase synthesis wall times (compile_s / oracle_s / polish_s).
     phases: dict = field(default_factory=dict)

@@ -28,7 +28,15 @@ from .equation import (
     solve_lyapunov_numeric,
 )
 from .modal import modal_lyapunov
-from .piecewise import ENCODINGS, SOLVERS, PiecewiseCandidate, synthesize_piecewise
+from .piecewise import (
+    ENCODINGS,
+    HybridSolve,
+    PiecewiseCandidate,
+    PiecewiseLmi,
+    assemble_piecewise_lmi,
+    solve_hybrid,
+    synthesize_piecewise,
+)
 from .quadratic import LyapunovCandidate
 from .settling import SettlingBound, settling_bound, verify_decay_rate_exact
 from .synthesis import DEFAULT_NU, LMI_METHODS, METHODS, default_alpha, synthesize
@@ -47,7 +55,10 @@ __all__ = [
     "PiecewiseCandidate",
     "synthesize_piecewise",
     "ENCODINGS",
-    "SOLVERS",
+    "PiecewiseLmi",
+    "assemble_piecewise_lmi",
+    "HybridSolve",
+    "solve_hybrid",
     "CommonLyapunovResult",
     "synthesize_common",
     "solve_stein_numeric",

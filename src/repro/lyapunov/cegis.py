@@ -57,13 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..exact import RationalMatrix, solve_vector, to_fraction
-from ..sdp import (
-    CompiledLmiSystem,
-    LmiBlock,
-    solve_lmi_barrier,
-    solve_lmi_ellipsoid,
-    svec_basis,
-)
+from ..sdp import CompiledLmiSystem, LmiBlock, svec_basis
 from ..sdp.generic import cut_fingerprint, sampled_cut
 from ..smt import (
     Atom,
@@ -72,11 +66,11 @@ from ..smt import (
     IcpStatus,
     Relation,
     Var,
-    affine_term,
+    augmented_form_term,
     check_positive_definite_icp,
-    quadratic_form_term,
     witness_point,
 )
+from .piecewise import solve_hybrid
 
 __all__ = [
     "CenteredLmi",
@@ -302,8 +296,7 @@ class PiecewiseCertificate:
     def lie_value(self, mode: int, flow, point) -> Fraction:
         """Exact ``d/dt V_mode`` along ``flow`` at a rational point."""
         p_bar = self.p0_bar if mode == 0 else self.p1_bar
-        d = len(self.w0)
-        a_bar = _augmented_flow_exact(flow, d)
+        a_bar = flow.augmented_exact()
         lie = (a_bar.transpose() @ p_bar + p_bar @ a_bar).symmetrize()
         w_bar = [to_fraction(v) for v in point] + [Fraction(1)]
         return _augmented_value(lie, w_bar)
@@ -331,16 +324,6 @@ def _augmented_value(p_bar: RationalMatrix, w_bar: list) -> Fraction:
         row = sum(p_bar[i, j] * w_bar[j] for j in range(n))
         total += w_bar[i] * row
     return total
-
-
-def _augmented_flow_exact(flow, d: int) -> RationalMatrix:
-    b = [to_fraction(v) for v in flow.b.tolist()]
-    rows = [
-        [to_fraction(flow.a[i, j]) for j in range(d)] + [b[i]]
-        for i in range(d)
-    ]
-    rows.append([Fraction(0)] * (d + 1))
-    return RationalMatrix(rows)
 
 
 def snap_certificate(
@@ -623,7 +606,7 @@ def verify_certificate(
         - j_c.scale(epsilon)
     ).symmetrize()
     checks.append(_sphere_check("pos1", n_pos, max_boxes, delta, backend))
-    a1_bar = _augmented_flow_exact(lmi.system.modes[1].flow, lmi.d)
+    a1_bar = lmi.system.modes[1].flow.augmented_exact()
     lie1 = (
         a1_bar.transpose() @ certificate.p1_bar
         + certificate.p1_bar @ a1_bar
@@ -688,15 +671,14 @@ def refute_certificate(
     region = system.modes[1].region.to_atoms(variables)
     box = Box.cube([v.name for v in variables], -box_radius, box_radius)
     solver = IcpSolver(delta=delta, max_boxes=max_boxes, backend=backend)
-    flow1 = system.modes[1].flow
-    a1_bar = _augmented_flow_exact(flow1, d)
+    a1_bar = system.modes[1].flow.augmented_exact()
     lie1 = (
         a1_bar.transpose() @ certificate.p1_bar
         + certificate.p1_bar @ a1_bar
     ).symmetrize()
     queries = {
-        "pos1": (_augmented_term(certificate.p1_bar, variables), 1),
-        "dec1": (_augmented_term(lie1, variables), -1),
+        "pos1": (augmented_form_term(certificate.p1_bar, variables), 1),
+        "dec1": (augmented_form_term(lie1, variables), -1),
     }
     witnesses: list[CegisWitness] = []
     for condition in conditions:
@@ -722,16 +704,6 @@ def refute_certificate(
             )
         )
     return witnesses
-
-
-def _augmented_term(p_bar: RationalMatrix, variables):
-    """``w̄^T P̄ w̄`` as an SMT term over the state variables."""
-    d = len(variables)
-    quadratic = p_bar.submatrix(range(d), range(d))
-    linear = [2 * p_bar[i, d] for i in range(d)]
-    return quadratic_form_term(quadratic, variables) + affine_term(
-        linear, variables, p_bar[d, d]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -844,7 +816,6 @@ def cegis_piecewise(
     refute: bool = False,
     refute_max_boxes: int = 20_000,
     refute_box_radius: float = 12.0,
-    icp_backend: str = "auto",
     warm_start: bool = True,
     fingerprint_digits: int = 6,
     lmi: CenteredLmi | None = None,
@@ -853,14 +824,13 @@ def cegis_piecewise(
 
     Per round: (1) synthesize over the current block set — the full
     matrix system (``synthesis="full"``) or the finite sampled
-    relaxation (``"sampled"``) — with the deep-cut ellipsoid method
-    warm-started from the previous round's iterate, polished by the
-    level-shift barrier; (2) snap the iterate to an exact rational
-    certificate; (3) soundly verify it (:func:`verify_certificate`);
-    (4) on refutation, convert every counterexample direction (sphere
-    check refutations, plus pointwise ICP witnesses when ``refute=``)
-    into a sampled 1x1 cut, deduplicated by normalized-direction
-    fingerprint, and resynthesize.
+    relaxation (``"sampled"``) — with :func:`solve_hybrid`, its
+    ellipsoid warm-started from the previous round's iterate; (2) snap
+    the iterate to an exact rational certificate; (3) soundly verify it
+    (:func:`verify_certificate`); (4) on refutation, convert every
+    counterexample direction (sphere check refutations, plus pointwise
+    ICP witnesses when ``refute=``) into a sampled 1x1 cut,
+    deduplicated by normalized-direction fingerprint, and resynthesize.
 
     An ellipsoid infeasibility proof short-circuits the loop with
     status ``"infeasible"`` — on the paper's nominal references this
@@ -893,38 +863,21 @@ def cegis_piecewise(
     status = "exhausted"
     for index in range(1, max_rounds + 1):
         synth_start = time.perf_counter()
-        result = solve_lmi_ellipsoid(
-            compiled.blocks,
-            dimension=lmi.dim,
+        solve = solve_hybrid(
+            compiled,
             initial_radius=initial_radius,
             max_iterations=max_iterations,
-            raise_on_infeasible=False,
-            compiled=compiled,
-            sweep_every=16,
+            target_margin=target_margin,
+            polish_outer=polish_outer,
             initial_center=previous_x if warm_start else None,
         )
-        x = result.x
-        polished = False
-        if not result.proved_infeasible and polish_outer > 0:
-            polish = solve_lmi_barrier(
-                None,
-                dimension=lmi.dim,
-                radius=initial_radius,
-                target_margin=target_margin,
-                max_outer=polish_outer,
-                initial=x,
-                compiled=compiled,
-            )
-            if -polish.t_star <= result.worst_violation:
-                x = polish.x
-                polished = True
-        synth_time = time.perf_counter() - synth_start
+        result, x = solve.ellipsoid, solve.x
         record = CegisRound(
             index=index,
             synth_iterations=result.iterations,
-            synth_time=synth_time,
+            synth_time=time.perf_counter() - synth_start,
             worst_violation=float(result.worst_violation),
-            polished=polished,
+            polished=solve.polished,
             proved_infeasible=result.proved_infeasible,
             cut_total=len(cuts),
         )
@@ -939,7 +892,6 @@ def cegis_piecewise(
             certificate,
             max_boxes=verify_max_boxes,
             delta=verify_delta,
-            backend=icp_backend,
         )
         record.checks = verification.verdict_map()
         record.verify_time = verification.time
@@ -960,7 +912,6 @@ def cegis_piecewise(
                 system,
                 box_radius=refute_box_radius,
                 max_boxes=refute_max_boxes,
-                backend=icp_backend,
             )
             record.refute_time = time.perf_counter() - refute_start
             record.witnesses = len(witnesses)

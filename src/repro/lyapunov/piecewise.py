@@ -13,19 +13,17 @@ cf. Oehlerking Thm. 3.10) with two switching-surface encodings:
 * ``relaxed``    — independent ``P_0, P_1`` with Finsler-multiplier
   non-increase constraints across the surface in both directions.
 
-The LMI system is compiled once into stacked coefficient tensors
-(:class:`repro.sdp.CompiledLmiSystem`) and solved by a configurable
-pipeline: the certifying deep-cut ellipsoid method
-(``solver="ellipsoid"``), the level-shift barrier
-(``solver="barrier"``), or the default two-stage *hybrid* — an
-ellipsoid burn-in (which keeps the power to *prove* infeasibility)
-whose best iterate warm-starts a Newton barrier polish via
-``initial=``, mirroring :func:`repro.sdp.solve_ipm`'s warm-start
-machinery. Like the numerical solvers in the paper,
-:func:`synthesize_piecewise` returns its best iterate as a *candidate*
-even when convergence is not certified. Exact validation of the
-surface condition then fails on rounded candidates — the negative
-result the paper reports.
+:func:`assemble_piecewise_lmi` compiles the LMI system once into
+stacked coefficient tensors (:class:`repro.sdp.CompiledLmiSystem`).
+:func:`solve_hybrid` is the one solve both piecewise pipelines share —
+this one and the CEGIS loop (:mod:`repro.lyapunov.cegis`): a certifying
+deep-cut ellipsoid burn-in (which keeps the power to *prove*
+infeasibility) whose best iterate warm-starts a Newton barrier polish,
+adopted only when it is at least as feasible. Like the numerical
+solvers in the paper, :func:`synthesize_piecewise` returns its best
+iterate as a *candidate* even when convergence is not certified. Exact
+validation of the surface condition then fails on rounded candidates —
+the negative result the paper reports.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ import numpy as np
 
 from ..sdp import (
     CompiledLmiSystem,
+    EllipsoidResult,
     LmiBlock,
     solve_lmi_barrier,
     solve_lmi_ellipsoid,
@@ -44,10 +43,16 @@ from ..sdp import (
 )
 from ..systems import PwaSystem
 
-__all__ = ["PiecewiseCandidate", "synthesize_piecewise", "SOLVERS"]
+__all__ = [
+    "PiecewiseCandidate",
+    "PiecewiseLmi",
+    "assemble_piecewise_lmi",
+    "HybridSolve",
+    "solve_hybrid",
+    "synthesize_piecewise",
+]
 
 ENCODINGS = ("continuous", "relaxed")
-SOLVERS = ("hybrid", "ellipsoid", "barrier")
 
 
 @dataclass
@@ -105,21 +110,44 @@ def _distance_form(w_star: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_piecewise(
+@dataclass
+class PiecewiseLmi:
+    """The paper's S-procedure LMI of one system, compiled for solving.
+
+    Decision layout: ``[svec(P0) | svec(P1) or q | U0 U1 W0 W1 (3 each)
+    | m1 m2 (da each, relaxed only)]``, located by ``offsets``.
+    """
+
+    encoding: str
+    compiled: CompiledLmiSystem
+    offsets: dict
+    basis: list
+    g_bar: np.ndarray
+
+    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
+        """The augmented mode matrices ``[P0, P1]`` at the iterate ``x``."""
+        offsets, basis, g_bar = self.offsets, self.basis, self.g_bar
+
+        def svec_at(offset: int) -> np.ndarray:
+            return sum(x[offset + k] * e for k, e in enumerate(basis))
+
+        p0 = svec_at(offsets["p0"])
+        if self.encoding == "continuous":
+            q = x[offsets["q"] : offsets["q"] + len(g_bar)]
+            p1 = p0 + np.outer(g_bar, q) + np.outer(q, g_bar)
+        else:
+            p1 = svec_at(offsets["p1"])
+        return [0.5 * (p + p.T) for p in (p0, p1)]
+
+
+def assemble_piecewise_lmi(
     system: PwaSystem,
     encoding: str = "continuous",
     epsilon: float = 1e-3,
     radius_scale: float = 100.0,
-    max_iterations: int = 60_000,
-    initial_radius: float = 50.0,
     tolerance: float = 1e-6,
-    solver: str = "hybrid",
-    oracle_batch: bool = True,
-    sweep_every: int | None = 16,
-    burn_in: int | None = None,
-    polish_outer: int = 60,
-) -> PiecewiseCandidate:
-    """Set up and run the S-procedure LMI system for the switched loop.
+) -> PiecewiseLmi:
+    """Build and compile the S-procedure LMI for a two-mode system.
 
     ``tolerance`` relaxes every block to ``F(x) ⪰ -tolerance I``. This
     mirrors the numerical SDP solvers the paper used: the Lyapunov
@@ -127,35 +155,11 @@ def synthesize_piecewise(
     direction, so a strictly feasible point does not exist and solvers
     accept a tolerance-feasible iterate — which exact validation then
     rejects (the paper's Section VI-B.2 observation).
-
-    ``solver`` selects the engine:
-
-    * ``"hybrid"`` (default) — ellipsoid burn-in (up to ``burn_in``
-      iterations, default the full ``max_iterations`` budget, exiting
-      early on feasibility or an infeasibility proof) followed by a
-      warm-started barrier Newton polish of the best iterate
-      (``polish_outer`` level-shift rounds). Keeps the ellipsoid's
-      power to *prove* emptiness while the polish maximizes the
-      candidate's joint margin;
-    * ``"ellipsoid"`` — the certifying deep-cut method alone;
-    * ``"barrier"`` — the level-shift candidate finder alone (negative
-      best margin is evidence, not proof, of infeasibility).
-
-    ``oracle_batch`` toggles the tensorized batched separation oracle
-    (``False`` = the original per-block differential oracle), and
-    ``sweep_every`` its active-set mode (full violation sweep every K
-    iterations; ``None`` = every iteration). Phase wall times are
-    reported in ``info["phases"]`` as ``compile_s`` (block construction
-    + tensor compilation), ``oracle_s`` (ellipsoid) and ``polish_s``
-    (barrier).
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}")
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}")
     if system.n_modes != 2:
         raise ValueError("the case-study synthesis handles exactly two modes")
-    start = time.perf_counter()
     d = system.dimension
     da = d + 1
     g_bar = _surface_vector(system)
@@ -270,103 +274,138 @@ def synthesize_piecewise(
         coeffs = p_coefficients(mode, sign=-1.0)
         blocks.append(LmiBlock(cap, coeffs, name=f"cap{mode}"))
 
-    compiled = CompiledLmiSystem(blocks, dim)
-    phases = {
-        "compile_s": time.perf_counter() - start,  # blocks + tensors
-        "oracle_s": 0.0,
-        "polish_s": 0.0,
-    }
-
-    # Like the paper's numerical solvers, keep the best iterate as a
-    # *candidate* even when the LMI system is (provably) infeasible.
-    polish_iterations = 0
-    if solver in ("ellipsoid", "hybrid"):
-        budget = max_iterations
-        if solver == "hybrid" and burn_in is not None:
-            budget = min(burn_in, max_iterations)
-        phase_started = time.perf_counter()
-        result = solve_lmi_ellipsoid(
-            blocks,
-            dimension=dim,
-            initial_radius=initial_radius,
-            max_iterations=budget,
-            raise_on_infeasible=False,
-            batch_oracle=oracle_batch,
-            sweep_every=sweep_every if oracle_batch else None,
-            compiled=compiled if oracle_batch else None,
-        )
-        phases["oracle_s"] = time.perf_counter() - phase_started
-        x = result.x
-        feasible = result.feasible
-        iterations = result.iterations
-        worst = result.worst_violation
-        proved_infeasible = result.proved_infeasible
-        if solver == "hybrid" and not proved_infeasible:
-            # Polish phase: warm-start the barrier's Newton centering
-            # from the burn-in iterate and keep whichever iterate has
-            # the better joint margin (t_star = -worst violation).
-            phase_started = time.perf_counter()
-            polish = solve_lmi_barrier(
-                None,
-                dimension=dim,
-                radius=initial_radius,
-                target_margin=0.0,
-                max_outer=polish_outer,
-                initial=x,
-                compiled=compiled,
-            )
-            phases["polish_s"] = time.perf_counter() - phase_started
-            polish_iterations = polish.iterations
-            if -polish.t_star <= worst:
-                x = polish.x
-                worst = -polish.t_star
-                feasible = feasible or polish.feasible
-    else:
-        phase_started = time.perf_counter()
-        barrier = solve_lmi_barrier(
-            None,
-            dimension=dim,
-            radius=initial_radius,
-            target_margin=0.0,
-            compiled=compiled,
-        )
-        phases["polish_s"] = time.perf_counter() - phase_started
-        x = barrier.x
-        feasible = barrier.feasible
-        iterations = barrier.iterations
-        worst = -barrier.t_star
-        proved_infeasible = False  # the barrier never proves emptiness
-
-    def unpack(mode: int) -> np.ndarray:
-        p = sum(
-            x[offsets["p0"] + k] * e for k, e in enumerate(basis)
-        )
-        if mode == 1:
-            if encoding == "continuous":
-                q = x[offsets["q"] : offsets["q"] + da]
-                p = p + np.outer(g_bar, q) + np.outer(q, g_bar)
-            else:
-                p = sum(
-                    x[offsets["p1"] + k] * e for k, e in enumerate(basis)
-                )
-        return 0.5 * (p + p.T)
-
-    elapsed = time.perf_counter() - start
-    return PiecewiseCandidate(
-        p=[unpack(0), unpack(1)],
+    return PiecewiseLmi(
         encoding=encoding,
-        feasible=feasible,
-        iterations=iterations,
-        worst_violation=worst,
-        synthesis_time=elapsed,
+        compiled=CompiledLmiSystem(blocks, dim),
+        offsets=offsets,
+        basis=basis,
+        g_bar=g_bar,
+    )
+
+
+@dataclass
+class HybridSolve:
+    """Outcome of :func:`solve_hybrid`.
+
+    ``ellipsoid`` is the burn-in result as the ellipsoid returned it;
+    ``x``/``worst_violation``/``feasible`` describe the adopted iterate
+    (the polished one when ``polished``).
+    """
+
+    ellipsoid: EllipsoidResult
+    x: np.ndarray
+    worst_violation: float
+    feasible: bool
+    polished: bool = False
+    polish_iterations: int = 0
+    oracle_s: float = 0.0
+    polish_s: float = 0.0
+
+
+def solve_hybrid(
+    compiled: CompiledLmiSystem,
+    initial_radius: float,
+    max_iterations: int,
+    target_margin: float,
+    polish_outer: int = 60,
+    initial_center: np.ndarray | None = None,
+) -> HybridSolve:
+    """Ellipsoid burn-in, then a warm-started barrier polish.
+
+    The deep-cut ellipsoid (active-set sweeps every 16 iterations) runs
+    first; it exits early on feasibility or an infeasibility proof.
+    Unless it proved the system empty, the level-shift barrier then
+    polishes its best iterate (``polish_outer`` rounds, stopping at
+    ``target_margin``), and the polished iterate is adopted iff its
+    joint margin is at least as good (``-t_star <= worst``).
+    ``initial_center`` recenters the ellipsoid's starting ball.
+    """
+    started = time.perf_counter()
+    result = solve_lmi_ellipsoid(
+        compiled.blocks,
+        dimension=compiled.dimension,
+        initial_radius=initial_radius,
+        max_iterations=max_iterations,
+        raise_on_infeasible=False,
+        sweep_every=16,
+        compiled=compiled,
+        initial_center=initial_center,
+    )
+    solve = HybridSolve(
+        ellipsoid=result,
+        x=result.x,
+        worst_violation=result.worst_violation,
+        feasible=result.feasible,
+        oracle_s=time.perf_counter() - started,
+    )
+    if result.proved_infeasible or polish_outer <= 0:
+        return solve
+    started = time.perf_counter()
+    polish = solve_lmi_barrier(
+        None,
+        dimension=compiled.dimension,
+        radius=initial_radius,
+        target_margin=target_margin,
+        max_outer=polish_outer,
+        initial=result.x,
+        compiled=compiled,
+    )
+    solve.polish_s = time.perf_counter() - started
+    solve.polish_iterations = polish.iterations
+    if -polish.t_star <= result.worst_violation:
+        solve.x = polish.x
+        solve.worst_violation = -polish.t_star
+        solve.feasible = result.feasible or polish.feasible
+        solve.polished = True
+    return solve
+
+
+def synthesize_piecewise(
+    system: PwaSystem,
+    encoding: str = "continuous",
+    epsilon: float = 1e-3,
+    radius_scale: float = 100.0,
+    max_iterations: int = 60_000,
+    initial_radius: float = 50.0,
+    tolerance: float = 1e-6,
+) -> PiecewiseCandidate:
+    """Assemble the S-procedure LMI, solve it, unpack the candidate.
+
+    The solve is :func:`solve_hybrid` with a zero target margin, so
+    the candidate is the best iterate even when the LMI is infeasible
+    (``info["proved_infeasible"]`` says whether the ellipsoid proved
+    it). Phase wall times are reported in ``info["phases"]`` as
+    ``compile_s`` (block construction + tensor compilation),
+    ``oracle_s`` (ellipsoid) and ``polish_s`` (barrier).
+    """
+    start = time.perf_counter()
+    lmi = assemble_piecewise_lmi(
+        system, encoding, epsilon=epsilon, radius_scale=radius_scale,
+        tolerance=tolerance,
+    )
+    compile_s = time.perf_counter() - start
+    solve = solve_hybrid(
+        lmi.compiled,
+        initial_radius=initial_radius,
+        max_iterations=max_iterations,
+        target_margin=0.0,
+    )
+    return PiecewiseCandidate(
+        p=lmi.unpack(solve.x),
+        encoding=encoding,
+        feasible=solve.feasible,
+        iterations=solve.ellipsoid.iterations,
+        worst_violation=solve.worst_violation,
+        synthesis_time=time.perf_counter() - start,
         info={
-            "dimension": dim,
+            "dimension": lmi.compiled.dimension,
             "epsilon": epsilon,
-            "proved_infeasible": proved_infeasible,
-            "solver": solver,
-            "oracle_batch": oracle_batch,
-            "sweep_every": sweep_every,
-            "polish_iterations": polish_iterations,
-            "phases": phases,
+            "proved_infeasible": solve.ellipsoid.proved_infeasible,
+            "polish_iterations": solve.polish_iterations,
+            "phases": {
+                "compile_s": compile_s,
+                "oracle_s": solve.oracle_s,
+                "polish_s": solve.polish_s,
+            },
         },
     )

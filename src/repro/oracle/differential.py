@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..exact import RationalMatrix, gmpy2_available, is_hurwitz_matrix
+from ..exact import RationalMatrix, is_hurwitz_matrix
 from ..lyapunov import SynthesisTimeout, synthesize
 from ..sdp import LmiInfeasibleError
 from ..smt import check_positive_definite_icp
@@ -74,15 +74,6 @@ __all__ = [
 #: else (sympy, icp, scratch validators) runs once per matrix.
 _KERNEL_VALIDATORS = frozenset({"sylvester", "gauss", "ldl"})
 
-#: Default kernel-backend sweep. The optional ``"gmpy2"`` backend joins
-#: automatically when the package is importable, so an installed gmpy2
-#: is always under differential test against the int/Fraction oracles
-#: (and campaigns on machines without it keep their historical grid).
-_DEFAULT_KERNEL_BACKENDS = ("fraction", "int", "modular") + (
-    ("gmpy2",) if gmpy2_available() else ()
-)
-
-
 @dataclass(frozen=True)
 class FuzzProfile:
     """The combination grid one fuzz campaign sweeps.
@@ -98,7 +89,7 @@ class FuzzProfile:
     )
     lmi_backends: tuple = ("ipm", "shift", "proj")
     validators: tuple = ("sylvester", "gauss", "ldl", "sympy")
-    kernel_backends: tuple = _DEFAULT_KERNEL_BACKENDS
+    kernel_backends: tuple = ("fraction", "int", "modular")
     sigfigs: int = 10
     eq_smt_max_n: int = 5
     eq_smt_deadline: float = 5.0

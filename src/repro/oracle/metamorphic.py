@@ -12,9 +12,7 @@ no ground truth at all:
 * **scaling** — positive definiteness is invariant under ``P -> c P``
   for any positive rational ``c`` (and stays refuted for ``-P``);
 * **lmi-block-order** — the feasibility verdict of the generic LMI
-  engines must not depend on the order blocks are listed in, nor on
-  whether the tensorized batch oracle or the per-block differential
-  oracle is used.
+  engine must not depend on the order blocks are listed in.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ def _check_scaling(h) -> None:
 
 
 def _check_block_order(h) -> None:
-    """LMI feasibility must survive block reordering and oracle choice."""
+    """LMI feasibility must survive block reordering."""
     system, profile = h.system, h.profile
     # Restricted to the comfortably-conditioned kinds: the ellipsoid
     # engine's verdict inside a finite iteration budget is only a
@@ -98,12 +96,12 @@ def _check_block_order(h) -> None:
     blocks = lyapunov_lmi_blocks(system.a_float)
     dimension = svec_dim(system.n)
 
-    def feasible(block_list, batch: bool) -> bool | None:
+    def feasible(block_list) -> bool | None:
         try:
             result = solve_lmi_ellipsoid(
                 block_list, dimension,
                 max_iterations=profile.lmi_block_iterations,
-                raise_on_infeasible=False, batch_oracle=batch,
+                raise_on_infeasible=False,
             )
         except Exception as exc:
             h.record.harness_errors.append(
@@ -112,7 +110,7 @@ def _check_block_order(h) -> None:
             return None
         return bool(result.feasible)
 
-    reference = feasible(blocks, batch=True)
+    reference = feasible(blocks)
     if reference is None:
         return
     # A stable system's Lyapunov LMI is strictly feasible; within the
@@ -122,10 +120,11 @@ def _check_block_order(h) -> None:
         "metamorphic-lmi-block-order", "feasible==stable",
         system.stable, reference,
     )
-    for tag, batch in (("reversed/batch", True), ("reversed/loop", False)):
-        got = feasible(list(reversed(blocks)), batch=batch)
-        if got is not None:
-            h.expect("metamorphic-lmi-block-order", tag, reference, got)
+    got = feasible(list(reversed(blocks)))
+    if got is not None:
+        h.expect(
+            "metamorphic-lmi-block-order", "reversed/batch", reference, got
+        )
 
 
 def metamorphic_checks(h) -> None:

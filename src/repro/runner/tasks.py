@@ -405,17 +405,13 @@ class PiecewiseTask(Task):
     """One piecewise synthesis+validation attempt (Sec. VI-B.2)."""
 
     def __init__(self, case_name, size, encoding, max_iterations,
-                 max_boxes, conditions_scope, solver="hybrid",
-                 oracle_batch=True, icp_backend="auto"):
+                 max_boxes, conditions_scope):
         self.case_name = case_name
         self.size = size
         self.encoding = encoding
         self.max_iterations = max_iterations
         self.max_boxes = max_boxes
         self.conditions_scope = conditions_scope
-        self.solver = solver
-        self.oracle_batch = oracle_batch
-        self.icp_backend = icp_backend
 
     def key(self):
         return {"case": self.case_name, "encoding": self.encoding}
@@ -426,15 +422,12 @@ class PiecewiseTask(Task):
         candidate = synthesize_piecewise(
             system, encoding=self.encoding,
             max_iterations=self.max_iterations,
-            solver=self.solver,
-            oracle_batch=self.oracle_batch,
         )
         report = validate_piecewise(
             candidate,
             system,
             conditions_scope=self.conditions_scope,
             max_boxes=self.max_boxes,
-            icp_backend=self.icp_backend,
         )
         return PiecewiseRecord(
             case=self.case_name,
@@ -447,7 +440,6 @@ class PiecewiseTask(Task):
             validation_valid=report.valid,
             failed_conditions=report.failed_conditions,
             validation_time=report.time,
-            solver=self.solver,
             phases=dict(candidate.info.get("phases", {})),
         )
 
@@ -457,7 +449,6 @@ class PiecewiseTask(Task):
             lmi_feasible=False, proved_infeasible=False, iterations=0,
             synth_time=elapsed, validation_valid=None,
             failed_conditions=[reason], validation_time=0.0,
-            solver=self.solver,
         )
 
     def on_timeout(self, elapsed):
@@ -490,7 +481,7 @@ class CegisTask(Task):
 
     def __init__(self, case_name, size, regime, synthesis="sampled",
                  snap="structured", max_rounds=40, max_iterations=30_000,
-                 verify_max_boxes=20_000, refute=False, icp_backend="auto"):
+                 verify_max_boxes=20_000, refute=False):
         self.case_name = case_name
         self.size = size
         self.regime = regime
@@ -500,7 +491,6 @@ class CegisTask(Task):
         self.max_iterations = max_iterations
         self.verify_max_boxes = verify_max_boxes
         self.refute = refute
-        self.icp_backend = icp_backend
 
     def key(self):
         return {
@@ -524,7 +514,6 @@ class CegisTask(Task):
             max_iterations=self.max_iterations,
             verify_max_boxes=self.verify_max_boxes,
             refute=self.refute,
-            icp_backend=self.icp_backend,
         )
         last = outcome.rounds[-1] if outcome.rounds else None
         failed = []

@@ -22,9 +22,9 @@ The Newton assembly runs on the precompiled tensors of
 gradient is one trace einsum and the Hessian one congruence einsum over
 the stacked ``(B, d, n, n)`` coefficient tensor, replacing the former
 per-coefficient Python loops. ``initial=`` warm-starts the centering
-from an external iterate — the hybrid pipeline in
-:func:`repro.lyapunov.synthesize_piecewise` hands the ellipsoid
-burn-in's best iterate here for polishing, mirroring the ``initial=``
+from an external iterate — :func:`repro.lyapunov.solve_hybrid`, the
+solve both piecewise pipelines share, hands the ellipsoid burn-in's
+best iterate here for polishing, mirroring the ``initial=``
 warm-start machinery of :func:`repro.sdp.solve_ipm`.
 
 Roles of the two generic engines (they solve the same systems):
@@ -88,10 +88,8 @@ def solve_lmi_barrier(
     on stall, or after ``max_outer`` rounds. ``initial`` warm-starts the
     centering from an external iterate (clipped into the box);
     ``compiled`` reuses an existing :class:`CompiledLmiSystem` instead
-    of compiling ``blocks`` again — the compile already validated the
-    blocks, so ``blocks`` may then be ``None`` and no per-block check
-    is repeated (the hybrid pipeline's polish phase takes this path on
-    every call).
+    of compiling ``blocks`` again, so ``blocks`` may then be ``None``
+    (the hybrid solve's polish phase takes this path on every call).
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -107,12 +105,6 @@ def solve_lmi_barrier(
     else:
         if blocks is None:
             raise ValueError("blocks is required without a compiled system")
-        for block in blocks:
-            if len(block.coefficients) != dimension:
-                raise ValueError(
-                    f"block {block.name!r} has {len(block.coefficients)} "
-                    f"coefficients, expected {dimension}"
-                )
         system = CompiledLmiSystem(blocks, dimension)
     # Margins are folded at evaluation time: every shifted block is
     # G_j(x) = F_j(x) - (margin_j + t) I.

@@ -16,17 +16,16 @@ deep cut. Convergence is geometric in volume — slow but extremely
 robust, matching the role this solver plays (candidates for a problem
 the paper reports as numerically delicate).
 
-The oracle has two implementations:
-
-* the *tensorized* one (default): every block is compiled once into a
-  stacked ``(d, n, n)`` coefficient tensor (:class:`CompiledLmiSystem`),
-  same-sized blocks are batched, and one iteration is a handful of
-  einsum / batched-``eigh`` calls. A Cholesky screen skips the
-  eigendecomposition of block groups that are already feasible, and an
-  optional *active-set* mode (``sweep_every=K``) re-checks only the
-  recently violated blocks between full sweeps;
-* the original per-block Python loop (``batch_oracle=False``), kept as
-  the differential oracle the property suite compares against.
+The oracle is *tensorized*: every block is compiled once into a
+stacked ``(d, n, n)`` coefficient tensor (:class:`CompiledLmiSystem`),
+same-sized blocks are batched, and one iteration is a handful of
+einsum / batched-``eigh`` calls. A Cholesky screen skips the
+eigendecomposition of block groups that are already feasible, and an
+optional *active-set* mode (``sweep_every=K``) re-checks only the
+recently violated blocks between full sweeps. The solver talks to the
+oracle only through ``oracle(x, active)`` and ``gradient(i, v)``, so
+the test suite drives it with a per-block reference oracle passed as
+``compiled=``.
 """
 
 from __future__ import annotations
@@ -387,23 +386,19 @@ def solve_lmi_ellipsoid(
     max_iterations: int = 50_000,
     record_history: bool = False,
     raise_on_infeasible: bool = True,
-    batch_oracle: bool = True,
     sweep_every: int | None = None,
     compiled: CompiledLmiSystem | None = None,
     initial_center: np.ndarray | None = None,
 ) -> EllipsoidResult:
     """Run the deep-cut ellipsoid method until feasibility or collapse.
 
-    ``batch_oracle`` selects the tensorized separation oracle (compiled
-    coefficient tensors, batched ``eigh``, Cholesky feasibility screen);
-    ``False`` runs the original per-block Python loop, kept as the
-    differential oracle. ``sweep_every=K`` (tensorized oracle only)
-    enables active-set mode: between full sweeps, only the blocks that
-    were violated at the last full sweep are re-checked, with a full
-    sweep forced every ``K`` iterations and before any feasibility or
-    best-iterate claim. ``compiled`` reuses an existing
+    ``sweep_every=K`` enables active-set mode: between full sweeps, only
+    the blocks that were violated at the last full sweep are re-checked,
+    with a full sweep forced every ``K`` iterations and before any
+    feasibility or best-iterate claim. ``compiled`` reuses an existing
     :class:`CompiledLmiSystem` (e.g. shared with the barrier polisher)
-    instead of compiling ``blocks`` again. ``initial_center`` recenters
+    instead of compiling ``blocks`` again; any object with the same
+    ``oracle``/``gradient`` methods works. ``initial_center`` recenters
     the starting ellipsoid (default: the origin) — the CEGIS loop's
     resynthesis warm start, which keeps the initial ball around the
     previous round's near-feasible iterate. Note the infeasibility
@@ -414,24 +409,9 @@ def solve_lmi_ellipsoid(
     below the point where any feasible set of nontrivial volume would
     have been found.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    if not blocks:
-        raise ValueError(
-            "solve_lmi_ellipsoid needs at least one LmiBlock "
-            "(got an empty block list)"
-        )
-    for block in blocks:
-        if len(block.coefficients) != dimension:
-            raise ValueError(
-                f"block {block.name!r} has {len(block.coefficients)} "
-                f"coefficients, expected {dimension}"
-            )
-    system: CompiledLmiSystem | None = None
-    if batch_oracle:
-        system = compiled if compiled is not None else CompiledLmiSystem(
-            blocks, dimension
-        )
+    system = compiled if compiled is not None else CompiledLmiSystem(
+        blocks, dimension
+    )
     if initial_center is None:
         x = np.zeros(dimension)
     else:
@@ -448,32 +428,25 @@ def solve_lmi_ellipsoid(
     d = float(dimension)
     active: np.ndarray | None = None
     since_sweep = 0
+    iteration = 0
     for iteration in range(1, max_iterations + 1):
-        if system is not None:
-            full_sweep = (
-                sweep_every is None
-                or active is None
-                or since_sweep >= sweep_every
-            )
-            worst, gradient_vector, worst_index, violations = system.oracle(
-                x, active=None if full_sweep else active
-            )
-            if not full_sweep and worst <= 0.0:
-                # The active subset is satisfied; confirm on everything.
-                full_sweep = True
-                worst, gradient_vector, worst_index, violations = (
-                    system.oracle(x)
-                )
-            if full_sweep:
-                since_sweep = 0
-                if sweep_every is not None:
-                    active = violations > 0.0
-                    active[worst_index] = True
-            else:
-                since_sweep += 1
-        else:
+        full_sweep = (
+            sweep_every is None or active is None or since_sweep >= sweep_every
+        )
+        worst, gradient_vector, worst_index, violations = system.oracle(
+            x, active=None if full_sweep else active
+        )
+        if not full_sweep and worst <= 0.0:
+            # The active subset is satisfied; confirm on everything.
             full_sweep = True
-            worst, gradient_vector, worst_block = _most_violated(blocks, x)
+            worst, gradient_vector, worst_index, violations = system.oracle(x)
+        if full_sweep:
+            since_sweep = 0
+            if sweep_every is not None:
+                active = violations > 0.0
+                active[worst_index] = True
+        else:
+            since_sweep += 1
         if record_history:
             history.append(worst)
         # Partial (active-set) sweeps underestimate the true violation,
@@ -485,15 +458,7 @@ def solve_lmi_ellipsoid(
             return EllipsoidResult(x, True, iteration, worst, history)
         # Deep cut: g^T (y - x) + violation <= 0 for all feasible y,
         # where g_i = -v^T F_ji v.
-        if system is not None:
-            g = system.gradient(worst_index, gradient_vector)
-        else:
-            g = np.array(
-                [
-                    -gradient_vector @ coefficient @ gradient_vector
-                    for coefficient in worst_block.coefficients
-                ]
-            )
+        g = system.gradient(worst_index, gradient_vector)
         g_norm_sq = float(g @ shape @ g)
         if g_norm_sq <= 0 or not np.isfinite(g_norm_sq):
             break
@@ -530,24 +495,7 @@ def solve_lmi_ellipsoid(
         shape = 0.5 * (shape + shape.T)
         if np.trace(shape) < 1e-24:
             break
-    return EllipsoidResult(best_x, False, max_iterations, best_violation, history)
+    # ``iteration`` is the last one run: below ``max_iterations`` when a
+    # degenerate cut or a collapsed ellipsoid stopped the loop early.
+    return EllipsoidResult(best_x, False, iteration, best_violation, history)
 
-
-def _most_violated(
-    blocks: list[LmiBlock], x: np.ndarray
-) -> tuple[float, np.ndarray, LmiBlock]:
-    if not blocks:
-        raise ValueError(
-            "separation oracle called with an empty block list: an LMI "
-            "system needs at least one LmiBlock"
-        )
-    worst = -np.inf
-    worst_vector = None
-    worst_block = None
-    for block in blocks:
-        violation, vector = block.violation(x)
-        if violation > worst:
-            worst = violation
-            worst_vector = vector
-            worst_block = block
-    return worst, worst_vector, worst_block

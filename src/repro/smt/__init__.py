@@ -42,6 +42,7 @@ from .terms import (
     Term,
     Var,
     affine_term,
+    augmented_form_term,
     poly_degree,
     poly_eval,
     poly_free_vars,
@@ -79,6 +80,7 @@ __all__ = [
     "poly_eval",
     "poly_free_vars",
     "quadratic_form_term",
+    "augmented_form_term",
     "affine_term",
     "to_nnf",
     "to_dnf",

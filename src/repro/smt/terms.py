@@ -42,6 +42,7 @@ __all__ = [
     "poly_eval",
     "poly_free_vars",
     "quadratic_form_term",
+    "augmented_form_term",
     "affine_term",
     "to_nnf",
     "to_dnf",
@@ -355,6 +356,21 @@ def quadratic_form_term(
     if not parts:
         return Const(Fraction(0))
     return Add(tuple(parts))
+
+
+def augmented_form_term(p_bar, variables: Sequence[Var]) -> Term:
+    """Build ``w̄^T P̄ w̄`` with ``w̄ = (w, 1)`` as a term.
+
+    ``p_bar`` is a ``(d+1) x (d+1)`` symmetric
+    :class:`~repro.exact.matrix.RationalMatrix`; the result is
+    ``w^T P w + 2 p^T w + c`` for ``P̄ = [[P, p], [p^T, c]]``.
+    """
+    d = len(variables)
+    quadratic = p_bar.submatrix(range(d), range(d))
+    linear = [2 * p_bar[i, d] for i in range(d)]
+    return quadratic_form_term(quadratic, variables) + affine_term(
+        linear, variables, p_bar[d, d]
+    )
 
 
 def affine_term(

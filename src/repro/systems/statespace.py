@@ -152,3 +152,8 @@ class AffineSystem:
             RationalMatrix.from_numpy(self.a),
             RationalMatrix.from_numpy(self.b.reshape(-1, 1)),
         )
+
+    def augmented_exact(self) -> RationalMatrix:
+        """``Ā = [[A, b], [0, 0]]``, the flow on ``w̄ = (w, 1)``, exactly."""
+        a, b = self.exact()
+        return a.hstack(b).vstack(RationalMatrix.zeros(1, self.dimension + 1))

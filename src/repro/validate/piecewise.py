@@ -39,7 +39,7 @@ from ..smt import (
     Term,
     Var,
     affine_term,
-    quadratic_form_term,
+    augmented_form_term,
 )
 from ..systems import PwaSystem
 
@@ -80,22 +80,12 @@ def _augmented_exact(
         exact = exact.round_sigfigs(sigfigs).symmetrize()
     return exact
 
-def _value_term(p_bar: RationalMatrix, variables: list[Var]) -> Term:
-    """``V(w) = w^T P w + 2 p^T w + c`` from the augmented matrix."""
-    d = len(variables)
-    p_sub = p_bar.submatrix(range(d), range(d))
-    linear = [2 * p_bar[i, d] for i in range(d)]
-    constant = p_bar[d, d]
-    return quadratic_form_term(p_sub, variables) + affine_term(
-        linear, variables, constant
-    )
-
 
 def _lie_term(
     p_bar: RationalMatrix, a_bar: RationalMatrix, variables: list[Var]
 ) -> Term:
     lie = (a_bar.T @ p_bar + p_bar @ a_bar).symmetrize()
-    return _value_term(lie, variables)
+    return augmented_form_term(lie, variables)
 
 
 def _distance_sq_term(center: np.ndarray, variables: list[Var]) -> Term:
@@ -115,20 +105,17 @@ def validate_piecewise(
     max_boxes: int = 6_000,
     delta: float = 1e-6,
     conditions_scope: str = "all",
-    icp_backend: str = "auto",
 ) -> PiecewiseValidation:
     """Refute or (boundedly) verify every piecewise Lyapunov condition.
 
     ``conditions_scope="surface"`` restricts the check to the two
     switching-surface conditions — the decisive (and fast-to-refute)
     ones; ``"all"`` additionally probes region positivity and decrease.
-    ``icp_backend`` selects the refuter engine
-    (``"auto"|"scalar"|"batched"``, see :mod:`repro.smt.icp`).
     """
     start = time.perf_counter()
     d = system.dimension
     variables = [Var(f"w{i}") for i in range(d)]
-    solver = IcpSolver(delta=delta, max_boxes=max_boxes, backend=icp_backend)
+    solver = IcpSolver(delta=delta, max_boxes=max_boxes)
     w_star = system.modes[0].flow.equilibrium()
     if box_radius is None:
         scale = max(float(np.abs(m.flow.equilibrium()).max()) for m in system.modes)
@@ -140,14 +127,9 @@ def validate_piecewise(
     exact_p = [
         _augmented_exact(candidate, mode, sigfigs) for mode in (0, 1)
     ]
-    a_bar_exact = []
-    for mode in (0, 1):
-        flow = system.modes[mode].flow
-        top = RationalMatrix.from_numpy(flow.a).hstack(
-            RationalMatrix.from_numpy(flow.b.reshape(-1, 1))
-        )
-        bottom = RationalMatrix.zeros(1, d + 1)
-        a_bar_exact.append(top.vstack(bottom))
+    a_bar_exact = [
+        system.modes[mode].flow.augmented_exact() for mode in (0, 1)
+    ]
 
     away = Atom(
         Const(Fraction(float(exclusion_radius**2)))
@@ -170,7 +152,7 @@ def validate_piecewise(
 
     for mode in (0, 1) if conditions_scope == "all" else ():
         region_atoms = system.modes[mode].region.to_atoms(variables)
-        value = _value_term(exact_p[mode], variables)
+        value = augmented_form_term(exact_p[mode], variables)
         refute(
             f"positivity(mode{mode})",
             region_atoms + [away, Atom(value, Relation.LE)],
@@ -200,10 +182,9 @@ def validate_piecewise(
         [v.name for v in others], -box_radius, box_radius
     )
     for source, target in ((0, 1), (1, 0)):
-        diff = (
-            _value_term(exact_p[target], on_surface_vars)
-            - _value_term(exact_p[source], on_surface_vars)
-        )
+        diff = augmented_form_term(
+            exact_p[target], on_surface_vars
+        ) - augmented_form_term(exact_p[source], on_surface_vars)
         name = f"surface-nonincrease({source}->{target})"
         result = solver.check([Atom(-diff, Relation.LT)], surface_box)
         if result.status is IcpStatus.SAT:

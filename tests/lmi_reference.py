@@ -1,0 +1,30 @@
+"""Per-block reference separation oracle for the ellipsoid differentials.
+
+:func:`repro.sdp.solve_lmi_ellipsoid` talks to its oracle only through
+``oracle(x, active)`` and ``gradient(i, v)``. This object answers both
+with one eigendecomposition per block and no batching, Cholesky screen
+or active-set shortcut. Passed as ``compiled=``, it lets a test drive
+the real solver loop and compare the trajectory against the tensorized
+:class:`repro.sdp.CompiledLmiSystem`.
+"""
+
+import numpy as np
+
+
+class PerBlockOracle:
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def oracle(self, x, active=None):
+        violations = np.full(len(self.blocks), -np.inf)
+        vectors = {}
+        for i, block in enumerate(self.blocks):
+            if active is None or active[i]:
+                violations[i], vectors[i] = block.violation(x)
+        index = int(np.argmax(violations))
+        return float(violations[index]), vectors[index], index, violations
+
+    def gradient(self, index, vector):
+        return np.array(
+            [-vector @ c @ vector for c in self.blocks[index].coefficients]
+        )

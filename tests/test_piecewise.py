@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from repro.engine import case_by_name
-from repro.lyapunov import ENCODINGS, PiecewiseCandidate, synthesize_piecewise
+from repro.lyapunov import (
+    ENCODINGS,
+    PiecewiseCandidate,
+    assemble_piecewise_lmi,
+    solve_hybrid,
+    synthesize_piecewise,
+)
+from repro.sdp import solve_lmi_ellipsoid
 from repro.systems import AffineSystem, HalfSpace, PolyhedralRegion, PwaMode, PwaSystem
 from repro.validate import validate_piecewise
+from tests.lmi_reference import PerBlockOracle
 
 
 def shared_equilibrium_system():
@@ -22,6 +30,34 @@ def shared_equilibrium_system():
         region=PolyhedralRegion([HalfSpace((-1, 0), -1, strict=True)]),
     )
     return PwaSystem([mode0, mode1])
+
+
+def plain_ellipsoid(lmi, max_iterations, sweep_every=16, compiled=None):
+    """The certifying ellipsoid alone on an assembled system, with the
+    same radius and active-set sweep as the pipeline's burn-in."""
+    return solve_lmi_ellipsoid(
+        lmi.compiled.blocks,
+        dimension=lmi.compiled.dimension,
+        initial_radius=50.0,
+        max_iterations=max_iterations,
+        raise_on_infeasible=False,
+        sweep_every=sweep_every,
+        compiled=compiled or lmi.compiled,
+    )
+
+
+def ellipsoid_candidate(system, encoding, max_iterations):
+    """A piecewise candidate from :func:`plain_ellipsoid`."""
+    lmi = assemble_piecewise_lmi(system, encoding)
+    result = plain_ellipsoid(lmi, max_iterations)
+    return PiecewiseCandidate(
+        p=lmi.unpack(result.x),
+        encoding=encoding,
+        feasible=result.feasible,
+        iterations=result.iterations,
+        worst_violation=result.worst_violation,
+        info={"proved_infeasible": result.proved_infeasible},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -87,64 +123,85 @@ class TestSynthesizePiecewise:
         assert candidate.encoding == encoding
         assert candidate.synthesis_time > 0
 
-    def test_unknown_solver(self, engine_size3):
-        with pytest.raises(ValueError):
-            synthesize_piecewise(engine_size3, solver="simplex")
-
     @pytest.mark.parametrize("solver", ("hybrid", "ellipsoid"))
     def test_solver_info_and_phases(self, solver):
+        """The shared solve's burn-in is exactly a plain ellipsoid run
+        on the assembled system; with the polish disabled
+        (``ellipsoid``) it also adopts that run's iterate."""
         system = shared_equilibrium_system()
-        candidate = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver=solver,
+        lmi = assemble_piecewise_lmi(system, "continuous")
+        solve = solve_hybrid(
+            lmi.compiled, initial_radius=50.0, max_iterations=20_000,
+            target_margin=0.0, polish_outer=60 if solver == "hybrid" else 0,
         )
-        assert candidate.feasible
-        assert candidate.info["solver"] == solver
-        phases = candidate.info["phases"]
-        assert set(phases) == {"compile_s", "oracle_s", "polish_s"}
-        assert phases["compile_s"] >= 0
-        assert phases["oracle_s"] > 0
+        plain = plain_ellipsoid(lmi, 20_000)
+        assert solve.feasible and plain.feasible
+        assert solve.ellipsoid.iterations == plain.iterations
+        assert np.array_equal(solve.ellipsoid.x, plain.x)
+        assert solve.oracle_s > 0
         if solver == "ellipsoid":
-            assert phases["polish_s"] == 0.0
-            assert candidate.info["polish_iterations"] == 0
+            assert solve.polish_s == 0.0
+            assert solve.polish_iterations == 0
+            assert not solve.polished
+            assert np.array_equal(solve.x, plain.x)
+        else:
+            candidate = synthesize_piecewise(
+                system, encoding="continuous", max_iterations=20_000
+            )
+            assert candidate.feasible
+            assert candidate.iterations == plain.iterations
+            phases = candidate.info["phases"]
+            assert set(phases) == {"compile_s", "oracle_s", "polish_s"}
+            assert phases["compile_s"] >= 0
+            assert phases["oracle_s"] > 0
+            assert candidate.info["polish_iterations"] > 0
 
     def test_oracle_batch_off_agrees(self):
-        """The per-block differential oracle and the tensorized one
-        reach the same verdict on the feasible toy system.  (Iterates
-        are not bit-identical: tensordot and the per-block accumulation
+        """The per-block reference oracle and the tensorized one reach
+        the same verdict on the assembled toy system.  (Iterates are
+        not bit-identical: tensordot and the per-block accumulation
         round differently, and the ellipsoid trajectory amplifies the
         ~1e-16 difference over hundreds of cuts.)"""
         system = shared_equilibrium_system()
-        on = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver="ellipsoid", sweep_every=None,
-        )
-        off = synthesize_piecewise(
-            system, encoding="continuous", max_iterations=20_000,
-            solver="ellipsoid", oracle_batch=False,
+        lmi = assemble_piecewise_lmi(system, "continuous")
+        on = plain_ellipsoid(lmi, 20_000, sweep_every=None)
+        off = plain_ellipsoid(
+            lmi, 20_000, sweep_every=None,
+            compiled=PerBlockOracle(lmi.compiled.blocks),
         )
         assert on.feasible and off.feasible
         # Same order of work: the trajectories track each other closely.
         assert abs(on.iterations - off.iterations) <= 0.05 * off.iterations
         # Both candidates are genuinely feasible for both modes.
-        for candidate in (on, off):
+        for result in (on, off):
+            candidate = PiecewiseCandidate(
+                p=lmi.unpack(result.x), encoding="continuous",
+                feasible=True, iterations=result.iterations,
+                worst_violation=result.worst_violation,
+            )
             assert candidate.value(0, np.array([1.0, 1.0])) > 0
             assert candidate.value(1, np.array([-2.0, 0.5])) > 0
 
 
 class TestHybridEllipsoidEquivalence:
     """The hybrid pipeline must be a drop-in for the pure ellipsoid
-    solver: same infeasibility proofs on the engine cases and, on
-    feasible systems, candidates that pass the same exact validation."""
+    solver on the assembled system: same infeasibility proofs on the
+    engine cases and, on feasible systems, candidates that pass the
+    same exact validation."""
+
+    @staticmethod
+    def candidate(solver, system, encoding, max_iterations):
+        if solver == "ellipsoid":
+            return ellipsoid_candidate(system, encoding, max_iterations)
+        return synthesize_piecewise(
+            system, encoding=encoding, max_iterations=max_iterations
+        )
 
     def test_feasible_candidates_both_validate(self):
         system = shared_equilibrium_system()
         reports = {}
         for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                system, encoding="continuous", max_iterations=20_000,
-                solver=solver,
-            )
+            candidate = self.candidate(solver, system, "continuous", 20_000)
             assert candidate.feasible, solver
             reports[solver] = validate_piecewise(
                 candidate, system, conditions_scope="surface",
@@ -158,9 +215,8 @@ class TestHybridEllipsoidEquivalence:
         the full budget, and polish only runs when nothing is proved)."""
         verdicts = {}
         for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                engine_size3, encoding="continuous", max_iterations=6_000,
-                solver=solver,
+            candidate = self.candidate(
+                solver, engine_size3, "continuous", 6_000
             )
             verdicts[solver] = (
                 candidate.feasible, candidate.info["proved_infeasible"]
@@ -173,10 +229,7 @@ class TestHybridEllipsoidEquivalence:
         the paper's negative result does not depend on the solver."""
         names = {}
         for solver in ("hybrid", "ellipsoid"):
-            candidate = synthesize_piecewise(
-                engine_size3, encoding="relaxed", max_iterations=4_000,
-                solver=solver,
-            )
+            candidate = self.candidate(solver, engine_size3, "relaxed", 4_000)
             report = validate_piecewise(
                 candidate, engine_size3, conditions_scope="surface",
                 max_boxes=4_000,

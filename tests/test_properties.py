@@ -196,23 +196,26 @@ class TestTensorizedOracleAgreement:
             ), seed
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 4))
-    def test_solver_trajectories_track(self, seed, dimension):
-        """Both oracles drive the ellipsoid method along the same early
-        trajectory.  (Only a prefix is compared: tensordot and per-block
-        accumulation round differently at ~1e-16, which the cut dynamics
-        amplify over many iterations.)"""
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.booleans())
+    def test_solver_trajectories_track(self, seed, dimension, reverse):
+        """The tensorized oracle and the per-block reference (optionally
+        on the reversed block order) drive the ellipsoid method along
+        the same early trajectory.  (Only a prefix is compared:
+        tensordot and per-block accumulation round differently at
+        ~1e-16, which the cut dynamics amplify over many iterations.)"""
         from repro.sdp import solve_lmi_ellipsoid
+        from tests.lmi_reference import PerBlockOracle
 
         blocks = self._system(seed, dimension)
         on = solve_lmi_ellipsoid(
             blocks, dimension=dimension, max_iterations=60,
             raise_on_infeasible=False, record_history=True,
         )
+        reference = blocks[::-1] if reverse else blocks
         off = solve_lmi_ellipsoid(
-            blocks, dimension=dimension, max_iterations=60,
+            reference, dimension=dimension, max_iterations=60,
             raise_on_infeasible=False, record_history=True,
-            batch_oracle=False,
+            compiled=PerBlockOracle(reference),
         )
         prefix = min(len(on.history), len(off.history), 20)
         assert prefix >= 1, seed

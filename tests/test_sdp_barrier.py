@@ -117,34 +117,31 @@ class TestBarrier:
         assert len(result.history) >= 1
 
 
+def barrier_on_assembled(system, encoding="continuous"):
+    """The level-shift barrier alone on the assembled piecewise LMI."""
+    from repro.lyapunov import assemble_piecewise_lmi
+
+    lmi = assemble_piecewise_lmi(system, encoding)
+    result = solve_lmi_barrier(
+        None, dimension=lmi.compiled.dimension, radius=50.0,
+        target_margin=0.0, compiled=lmi.compiled,
+    )
+    return lmi, result
+
+
 class TestBarrierInPiecewise:
     def test_barrier_solver_option(self):
         from repro.engine import case_by_name
-        from repro.lyapunov import synthesize_piecewise
 
         case = case_by_name("size3")
         system = case.switched_system(case.reference())
-        candidate = synthesize_piecewise(
-            system, encoding="continuous", solver="barrier"
-        )
-        assert candidate.info["solver"] == "barrier"
+        lmi, result = barrier_on_assembled(system)
         # The case-study system is genuinely infeasible (bistable), so
         # the barrier must report a non-feasible best iterate too.
-        assert not candidate.feasible
-        assert not candidate.info["proved_infeasible"]
-        assert np.abs(candidate.p[0]).max() > 0
-
-    def test_unknown_solver_rejected(self):
-        from repro.engine import case_by_name
-        from repro.lyapunov import synthesize_piecewise
-
-        case = case_by_name("size3")
-        system = case.switched_system(case.reference())
-        with pytest.raises(ValueError):
-            synthesize_piecewise(system, solver="mosek")
+        assert not result.feasible
+        assert np.abs(lmi.unpack(result.x)[0]).max() > 0
 
     def test_barrier_finds_feasible_shared_equilibrium(self):
-        from repro.lyapunov import synthesize_piecewise
         from repro.systems import (
             AffineSystem, HalfSpace, PolyhedralRegion, PwaMode, PwaSystem,
         )
@@ -158,7 +155,5 @@ class TestBarrierInPiecewise:
             region=PolyhedralRegion([HalfSpace((-1, 0), -1, strict=True)]),
         )
         system = PwaSystem([mode0, mode1])
-        candidate = synthesize_piecewise(
-            system, encoding="continuous", solver="barrier"
-        )
-        assert candidate.feasible
+        _, result = barrier_on_assembled(system)
+        assert result.feasible

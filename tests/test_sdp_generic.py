@@ -9,6 +9,7 @@ from repro.sdp import (
     LmiInfeasibleError,
     solve_lmi_ellipsoid,
 )
+from tests.lmi_reference import PerBlockOracle
 
 
 def diag_block(f0_diag, coeff_diags, margin=0.0, name=""):
@@ -155,6 +156,23 @@ class TestEllipsoid:
         assert not result.feasible
         assert result.proved_infeasible or result.iterations < 10_000
 
+    def test_early_stop_reports_iterations_reached(self):
+        # x0 = 1 and x1 = 0.5 exactly: the feasible set is one point, so
+        # the ellipsoid collapses (or a cut degenerates) long before the
+        # budget. The result must report the iterations actually run.
+        blocks = [
+            diag_block([-1], [[1], [0]], name="x0>=1"),
+            diag_block([1], [[-1], [0]], name="x0<=1"),
+            diag_block([-0.5], [[0], [1]], name="x1>=0.5"),
+            diag_block([0.5], [[0], [-1]], name="x1<=0.5"),
+        ]
+        result = solve_lmi_ellipsoid(
+            blocks, dimension=2, initial_radius=10.0,
+            max_iterations=50_000, record_history=True,
+        )
+        assert not result.feasible
+        assert result.iterations == len(result.history) < 50_000
+
     def test_depth_one_infeasibility_proof(self):
         # Strict margins make x >= 1+m and x <= -1+m jointly empty with
         # slack, so a cut of depth >= 1 appears and proves emptiness.
@@ -283,7 +301,7 @@ class TestCompiledLmiSystem:
         )
         off = solve_lmi_ellipsoid(
             blocks, dimension=3, max_iterations=500,
-            raise_on_infeasible=False, batch_oracle=False,
+            raise_on_infeasible=False, compiled=PerBlockOracle(blocks),
         )
         assert on.feasible == off.feasible
         assert on.iterations == off.iterations
