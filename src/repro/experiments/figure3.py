@@ -103,32 +103,49 @@ def run_figure3(
                     validator=validator, options=options, fallback=fallback,
                 )
             )
-    outcomes = engine.run(tasks)
-    return [record for record in outcomes if record is not None]
+    return engine.run(tasks)
+
+
+def _verdict_cell(records: list[Figure3Record]) -> str:
+    """``proved/refuted/undecided`` counts; runner-aborted tasks are
+    undecided and named in brackets so a deadline kill never reads as
+    a slow success."""
+    proved = sum(1 for r in records if r.valid is True)
+    refuted = sum(1 for r in records if r.valid is False)
+    timeouts = sum(1 for r in records if r.aborted == "timeout")
+    errors = sum(1 for r in records if r.aborted == "error")
+    cell = f"{proved}/{refuted}/{len(records) - proved - refuted}"
+    notes = [
+        f"{count} {label}"
+        for count, label in ((timeouts, "TO"), (errors, "err"))
+        if count
+    ]
+    return f"{cell} ({', '.join(notes)})" if notes else cell
 
 
 def render_figure3(records: list[Figure3Record]) -> str:
     """Cumulative validation time per validator and per size, plus the
     slowdown relative to the Sylvester method (the paper's reference
-point; our elimination-based checks beat it — see EXPERIMENTS.md)."""
+    point; our elimination-based checks beat it — see EXPERIMENTS.md)
+    and each validator's verdict counts. A task the runner killed at
+    its deadline counts its elapsed time and an undecided verdict."""
     sizes = sorted({r.size for r in records})
-    validators = []
+    by_validator: dict = defaultdict(list)
     for r in records:
-        if r.validator not in validators:
-            validators.append(r.validator)
+        by_validator[r.validator].append(r)
     cumulative: dict = defaultdict(float)
     counts: dict = defaultdict(int)
     for r in records:
         cumulative[(r.validator, r.size)] += r.time
         counts[(r.validator, r.size)] += 1
     headers = ["validator"] + [f"s{size} (s)" for size in sizes] + [
-        "total (s)", "vs sylvester",
+        "total (s)", "vs sylvester", "proved/refuted/undecided",
     ]
     sylvester_total = sum(
         cumulative[("sylvester", size)] for size in sizes
     ) or 1e-12
     rows = []
-    for validator in validators:
+    for validator, group in by_validator.items():
         row = [validator]
         total = 0.0
         for size in sizes:
@@ -140,6 +157,7 @@ point; our elimination-based checks beat it — see EXPERIMENTS.md)."""
                 row.append("-")
         row.append(f"{total:.3g}")
         row.append(f"{total / sylvester_total:.1f}x")
+        row.append(_verdict_cell(group))
         rows.append(row)
     return render_grid(
         headers, rows, title="Figure 3 — validation time per symbolic solver"

@@ -81,6 +81,9 @@ class Figure3Record:
     time: float
     #: Validator fallback/escalation hops (empty for a clean run).
     degraded: list = field(default_factory=list)
+    #: ``"timeout"`` or ``"error"`` when the runner ended the task
+    #: before it returned (``valid`` is then ``None``).
+    aborted: str | None = None
 
 
 @dataclass

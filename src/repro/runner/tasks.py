@@ -272,6 +272,20 @@ class Figure3Task(Task):
             degraded=report.degraded,
         )
 
+    def _aborted(self, reason, elapsed):
+        return Figure3Record(
+            case=self.case_name, size=self.size, mode=self.mode,
+            method=self.method, backend=self.backend,
+            validator=self.validator, valid=None, time=elapsed,
+            aborted=reason,
+        )
+
+    def on_timeout(self, elapsed):
+        return self._aborted("timeout", elapsed)
+
+    def on_error(self, message):
+        return self._aborted("error", 0.0)
+
     def timing_detail(self, result):
         detail = {"validate_s": result.time}
         if result.degraded:

@@ -31,23 +31,6 @@ __all__ = [
 ]
 
 
-def _lyap_basis_tensor_dense(a: np.ndarray, alpha: float) -> np.ndarray:
-    """Dense einsum assembly of the ``L(E_k)`` stack.
-
-    Retained as the differential oracle for the sparse assembly below
-    (the agreement test contracts both against random ``A``); the
-    production path no longer calls it.
-    """
-    from .svec import basis_tensor
-
-    basis = basis_tensor(a.shape[0])  # (m, n, n)
-    return (
-        np.einsum("ab,kbm->kam", a.T, basis)
-        + np.einsum("kab,bm->kam", basis, a)
-        + alpha * basis
-    )
-
-
 @lru_cache(maxsize=32)
 def _lyap_basis_tensor(a_bytes: bytes, n: int, alpha: float) -> np.ndarray:
     """Stacked ``L(E_k) = A^T E_k + E_k A + alpha E_k`` over the svec basis.
@@ -62,7 +45,8 @@ def _lyap_basis_tensor(a_bytes: bytes, n: int, alpha: float) -> np.ndarray:
     nonzero entries, so ``A^T E_k + E_k A`` is nonzero only in the rows
     and columns they touch — each block is two (or four) row/column
     updates from rows of ``A``, Θ(m·n) total instead of the Θ(m·n²)
-    dense einsum contraction. On the 21-state PWA blocks (m = 231) the
+    dense einsum contraction (kept in ``tests/lmi_reference.py`` as the
+    agreement oracle). On the 21-state PWA blocks (m = 231) the
     231 mostly-empty ``L(E_k)`` slabs assemble an order of magnitude
     faster, which matters because every ``alpha`` probe of the
     piecewise bisection compiles a fresh tensor.

@@ -6,7 +6,7 @@ interval operation (the conditional outward rounding in
 :mod:`repro.smt.interval` keeps dyadic arithmetic tight by comparing
 each float result against the exact rational). This module evaluates a
 *population* of boxes per NumPy pass — bounds live in ``(B, V, 2)``
-arrays (:class:`BoxArray`) — while reproducing the scalar arithmetic
+arrays (:class:`BoxArray`) — while reproducing every scalar enclosure
 bit for bit, so the batched engine's verdicts, witnesses, witness
 boxes and search statistics are identical to the scalar oracle's.
 
@@ -20,14 +20,34 @@ transforms instead:
 * additions use Knuth's TwoSum — ``err`` is exactly ``(a + b) -
   fl(a + b)``, so rounding down iff ``err < 0`` (up iff ``err > 0``)
   coincides with the scalar comparison against the exact sum;
-* products use Dekker splitting (no FMA assumed) — same argument, and
-  the four endpoint candidates are ordered by the lexicographic pair
-  ``(product, err)``, which orders exactly like the scalar's exact
-  rational keys because round-to-nearest is monotone;
+* products use Dekker splitting (no FMA assumed) — same argument; the
+  scalar keeps the endpoint candidate with the least (greatest) exact
+  product, which, round-to-nearest being monotone, is the least
+  (greatest) float product and among equal ones the least (greatest)
+  error, so the bound steps outward iff a tied candidate's error
+  points outward. Tied products can differ only in the sign of a
+  zero, which never reaches an enclosure: a zero product is exact and
+  every sum starts from ``+0.0``;
+* the outward step is ``nextafter`` done as ``±1`` on the float's bit
+  pattern, which agrees with ``nextafter`` on every finite nonzero
+  float — the only results an inexact operation yields in a box that
+  is not deferred;
 * powers repeat the scalar's sequential multiply (including the
-  even-power floor at zero), and enclosure accumulation follows the
-  scalar monomial order — no einsum reassociation, which would change
-  rounding.
+  even-power floor at zero).
+
+**Monomial-tensor evaluation.** Each polynomial compiles once into a
+plan: ``(M,)`` coefficient enclosures and a ``(depth, M)`` table of
+factor columns into a per-call power table, short monomials
+left-padded with a ``[1, 1]`` column (the running part is then still
+the coefficient, and ``c * 1`` is exact, so padding changes no bit).
+An evaluation fills the power table one exponent at a time, runs one
+interval product per factor level over the whole ``(B, M)`` tensor
+(four TwoProd candidates, one guard), then adds the ``M`` monomial
+enclosures left to right as a stacked lo/hi TwoSum recurrence — the
+scalar monomial order, so there is no einsum reassociation, which
+would change rounding. A handful of NumPy calls per factor level
+replaces a handful per monomial, which is what dominates on the small
+chunks of a Figure-3-sized search.
 
 The transforms are exact only away from overflow/underflow, so any box
 that ever touches a magnitude outside ``[2^-500, 2^500]`` (or a
@@ -84,6 +104,8 @@ _SPLIT = 134217729.0
 _BIG = 2.0**500
 _TINY = 2.0**-500
 _CHUNK = 256
+#: Outward direction of the rows of a stacked ``(lo, hi)`` array.
+_OUTWARD = np.array([-1, 1])
 
 
 # ----------------------------------------------------------------------
@@ -145,18 +167,15 @@ class BoxArray:
 # Error-free transforms and bit-identical interval kernels
 # ----------------------------------------------------------------------
 
-def _guard(bad: np.ndarray, x: np.ndarray) -> None:
-    """Flag boxes whose value leaves the exactness-safe magnitude band."""
-    ax = np.abs(x)
-    ok = (x == 0.0) | ((ax >= _TINY) & (ax <= _BIG))
-    np.logical_or(bad, ~ok, out=bad)
-
-
-def _guard_bounds(bad: np.ndarray, arr: np.ndarray) -> None:
-    """Per-box guard over a ``(B, V)`` array of endpoint values."""
-    ax = np.abs(arr)
-    ok = (arr == 0.0) | ((ax >= _TINY) & (ax <= _BIG))
-    np.logical_or(bad, ~ok.all(axis=1), out=bad)
+def _flag(bad: np.ndarray, x: np.ndarray, box_axis: int = 0) -> None:
+    """OR into ``bad`` every box (indexed by axis ``box_axis`` of ``x``)
+    with an entry outside the exactness-safe band: a nonzero magnitude
+    below ``_TINY`` or above ``_BIG``, an infinity or a NaN (which the
+    max reduction propagates)."""
+    others = tuple(axis for axis in range(x.ndim) if axis != box_axis)
+    mag = np.abs(x)
+    bad |= ~(mag.max(axis=others, initial=0.0) <= _BIG)
+    bad |= ((mag < _TINY) & (mag > 0.0)).any(axis=others)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,61 +197,46 @@ def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, err
 
 
-def _round_lo(value: np.ndarray, err: np.ndarray) -> np.ndarray:
-    # Scalar `_lo_of` keeps the float iff Fraction(value) <= exact,
-    # i.e. iff the transform error is >= 0.
-    return np.where(err < 0.0, np.nextafter(value, -np.inf), value)
+def _round_out(value: np.ndarray, move: np.ndarray) -> np.ndarray:
+    """Step the ``lo`` row of stacked ``(lo, hi)`` values one float down
+    and the ``hi`` row one float up where ``move`` is set — callers set
+    it where the transform error points outward, the scalar
+    ``_lo_of``/``_hi_of`` rule. The step is ``±1`` on the bit pattern
+    (see the module docstring for why that equals ``nextafter`` here).
+    """
+    shape = (2,) + (1,) * (value.ndim - 1)
+    step = _OUTWARD.reshape(shape) * (1 - 2 * np.signbit(value))
+    return (value.view(np.int64) + step * move).view(np.float64)
 
 
-def _round_hi(value: np.ndarray, err: np.ndarray) -> np.ndarray:
-    return np.where(err > 0.0, np.nextafter(value, np.inf), value)
+def _iv_mul(x: np.ndarray, y: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """Interval product of stacked ``(2, B, ...)`` lo/hi operands: one
+    TwoProd pass over the four endpoint candidates of
+    ``Interval.__mul__``, one guard, and the scalar's exact-key min/max
+    selection (see the module docstring)."""
+    p, e = _two_prod(x[:, None], y[None, :])
+    _flag(bad, p, box_axis=2)
+    p = p.reshape((4,) + p.shape[2:])
+    e = e.reshape(p.shape)
+    lo = p.min(axis=0)
+    hi = p.max(axis=0)
+    down = ((p == lo) & (e < 0.0)).any(axis=0)
+    up = ((p == hi) & (e > 0.0)).any(axis=0)
+    return _round_out(np.stack((lo, hi)), np.stack((down, up)))
 
 
-def _iv_add(lo1, hi1, lo2, hi2, bad):
-    s, e = _two_sum(lo1, lo2)
-    _guard(bad, s)
-    lo = _round_lo(s, e)
-    s, e = _two_sum(hi1, hi2)
-    _guard(bad, s)
-    hi = _round_hi(s, e)
-    return lo, hi
-
-
-def _iv_mul(lo1, hi1, lo2, hi2, bad):
-    # Candidate order matches Interval.__mul__; selection by the lex
-    # pair (product, err) == selection by the scalar's exact keys.
-    ps = []
-    es = []
-    for a, b in ((lo1, lo2), (lo1, hi2), (hi1, lo2), (hi1, hi2)):
-        p, e = _two_prod(a, b)
-        _guard(bad, p)
-        ps.append(p)
-        es.append(e)
-    mn_p, mn_e = ps[0], es[0]
-    mx_p, mx_e = ps[0], es[0]
-    for p, e in zip(ps[1:], es[1:]):
-        less = (p < mn_p) | ((p == mn_p) & (e < mn_e))
-        mn_p = np.where(less, p, mn_p)
-        mn_e = np.where(less, e, mn_e)
-        more = (p > mx_p) | ((p == mx_p) & (e > mx_e))
-        mx_p = np.where(more, p, mx_p)
-        mx_e = np.where(more, e, mx_e)
-    return _round_lo(mn_p, mn_e), _round_hi(mx_p, mx_e)
-
-
-def _iv_pow(lo, hi, exponent, bad):
-    if exponent == 0:
-        one = np.ones_like(lo)
-        return one, one.copy()
-    rlo, rhi = lo, hi
+def _iv_pow(x: np.ndarray, exponent: int, bad: np.ndarray) -> np.ndarray:
+    """``x ** exponent`` for stacked ``(2, B, K)`` lo/hi bounds
+    (``exponent >= 1``), replaying ``Interval.__pow__``."""
+    result = x
     for _ in range(exponent - 1):
-        rlo, rhi = _iv_mul(rlo, rhi, lo, hi, bad)
+        result = _iv_mul(result, x, bad)
     if exponent % 2 == 0:
         # Even powers are nonnegative; floor at zero exactly like the
         # scalar (`max(result.lo, 0.0)` keeps -0.0, so test `< 0.0`).
-        straddle = (lo <= 0.0) & (0.0 <= hi)
-        rlo = np.where(straddle & (rlo < 0.0), 0.0, rlo)
-    return rlo, rhi
+        straddle = (x[0] <= 0.0) & (0.0 <= x[1])
+        result[0] = np.where(straddle & (result[0] < 0.0), 0.0, result[0])
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -240,13 +244,35 @@ def _iv_pow(lo, hi, exponent, bad):
 # ----------------------------------------------------------------------
 
 class _CompiledPoly:
-    """Monomials as ``(coeff_lo, coeff_hi, ((var_index, exp), ...))`` in
-    the polynomial's dict order (the scalar accumulation order)."""
+    """A polynomial's monomial-tensor plan, monomials in dict order.
 
-    __slots__ = ("monos",)
+    ``coeffs``: ``(2, 1, M)`` coefficient enclosures. ``groups``:
+    ``(exponent, var_indices, columns)`` of the power table, one column
+    per power used. ``factors``: ``(depth, M)`` power-table columns per
+    monomial in factor order, left-padded with column ``width`` (the
+    ``[1, 1]`` column). ``variables``: indices of the variables used.
+    """
 
-    def __init__(self, monos):
-        self.monos = monos
+    __slots__ = ("coeffs", "groups", "factors", "width", "variables")
+
+    def __init__(self, coeffs, monos):
+        self.coeffs = coeffs
+        needed = sorted({(exp, vi) for mono in monos for vi, exp in mono})
+        column = {}
+        self.groups = []
+        for exp in sorted({exp for exp, _ in needed}):
+            vis = [vi for e, vi in needed if e == exp]
+            start = len(column)
+            for vi in vis:
+                column[vi, exp] = len(column)
+            self.groups.append((exp, vis, slice(start, len(column))))
+        self.width = len(column)
+        depth = max((len(mono) for mono in monos), default=0)
+        self.factors = np.full((depth, len(monos)), self.width, dtype=np.intp)
+        for m, mono in enumerate(monos):
+            for d, (vi, exp) in enumerate(mono, start=depth - len(mono)):
+                self.factors[d, m] = column[vi, exp]
+        self.variables = sorted({vi for _, vi in needed})
 
 
 class _CompiledAtom:
@@ -264,15 +290,15 @@ def _safe_bound(x: float) -> bool:
 
 
 def _compile_poly(poly: Polynomial, index: dict[str, int]):
+    coeffs = np.empty((2, 1, len(poly)))
     monos = []
-    for mono, coeff in poly.items():
+    for m, (mono, coeff) in enumerate(poly.items()):
         iv = Interval.point(coeff)
         if not (_safe_bound(iv.lo) and _safe_bound(iv.hi)):
             return None
-        monos.append(
-            (iv.lo, iv.hi, tuple((index[var], exp) for var, exp in mono))
-        )
-    return _CompiledPoly(monos)
+        coeffs[:, 0, m] = iv.lo, iv.hi
+        monos.append(tuple((index[var], exp) for var, exp in mono))
+    return _CompiledPoly(coeffs, monos)
 
 
 def compile_atoms(
@@ -292,9 +318,7 @@ def compile_atoms(
             if poly is None:
                 return None
             mask = np.zeros(len(names), dtype=bool)
-            for _lo, _hi, mono in poly.monos:
-                for vi, _exp in mono:
-                    mask[vi] = True
+            mask[poly.variables] = True
             linear = []
             for variable, coeff_poly, rest_poly in atom.linear:
                 cc = _compile_poly(coeff_poly, index)
@@ -309,26 +333,32 @@ def compile_atoms(
 
 
 def _eval_poly(cpoly: _CompiledPoly, lo, hi, powers, bad):
-    """Batched enclosure of a compiled polynomial over ``(B, V)`` bounds.
-
-    Replays the scalar ``eval_poly_interval`` term order exactly:
-    ``total = [0,0]``, then per monomial ``part = coeff * prod(powers)``
-    accumulated left to right.
-    """
-    shape = lo.shape[0]
-    tlo = np.zeros(shape)
-    thi = np.zeros(shape)
-    for clo, chi, mono in cpoly.monos:
-        plo = np.full(shape, clo)
-        phi = np.full(shape, chi)
-        for vi, exp in mono:
-            power = powers.get((vi, exp))
-            if power is None:
-                power = _iv_pow(lo[:, vi], hi[:, vi], exp, bad)
-                powers[vi, exp] = power
-            plo, phi = _iv_mul(plo, phi, power[0], power[1], bad)
-        tlo, thi = _iv_add(tlo, thi, plo, phi, bad)
-    return tlo, thi
+    """Batched enclosure of a compiled polynomial over ``(B, V)`` bounds:
+    the scalar ``eval_poly_interval`` replayed as a monomial tensor (see
+    the module docstring). ``powers`` caches ``(var_index, exp) -> (2,
+    B)`` power bounds across evaluations over the same boxes."""
+    n = lo.shape[0]
+    table = np.empty((2, n, cpoly.width + 1))
+    table[:, :, cpoly.width] = 1.0
+    for exp, vis, cols in cpoly.groups:
+        missing = [vi for vi in vis if (vi, exp) not in powers]
+        if missing:
+            block = _iv_pow(np.stack((lo[:, missing], hi[:, missing])), exp, bad)
+            for j, vi in enumerate(missing):
+                powers[vi, exp] = block[:, :, j]
+        table[:, :, cols] = np.stack([powers[vi, exp] for vi in vis], axis=-1)
+    parts = cpoly.coeffs
+    for level in cpoly.factors:
+        parts = _iv_mul(parts, table[:, :, level], bad)
+    parts = np.broadcast_to(parts, (2, n, parts.shape[2])).transpose(2, 0, 1)
+    sums = np.empty_like(parts)
+    total = np.zeros((2, n))
+    outward = _OUTWARD[:, None]
+    for m, part in enumerate(parts):
+        sums[m], err = _two_sum(total, part)
+        total = _round_out(sums[m], err * outward > 0)
+    _flag(bad, sums, box_axis=2)
+    return total[0], total[1]
 
 
 def _violated_mask(elo, ehi, relation):
@@ -431,8 +461,8 @@ def _contract_chunk(solver, compiled, lo, hi, bad):
                 hi[:, vi] = np.where(update, n_hi, x_hi)
                 # Contracted endpoints are new multiplication operands;
                 # re-check they stay inside the exactness band.
-                _guard(bad, lo[:, vi])
-                _guard(bad, hi[:, vi])
+                _flag(bad, lo[:, vi])
+                _flag(bad, hi[:, vi])
     return empty
 
 
@@ -470,41 +500,50 @@ def _witness_chunk(
 ):
     """Batched replica of ``_exact_witness``: screen the scalar's three
     candidate points with degenerate-interval enclosures; only points a
-    screen cannot decide fall through to the exact rational check."""
+    screen cannot decide fall through to the exact rational check.
+
+    All three candidates (midpoint, ``lo``, ``hi``) are screened in one
+    stacked evaluation per atom; a candidate's guard flags reach ``bad``
+    only when the candidate loop gets to that candidate, which is when
+    a per-candidate evaluation would have raised them.
+    """
     n = lo.shape[0]
     found = np.zeros(n, dtype=bool)
     witnesses: list[dict | None] = [None] * n
+    if skip.all():
+        return found, witnesses  # no candidate is ever eligible
     sorted_pos = [names.index(name) for name in order]
-    for candidate in range(3):
-        if candidate == 0:
-            pts = mids
-            eligible = ~skip & ~found
-        elif candidate == 1:
-            pts = lo
-            eligible = ~skip & ~found & np.isfinite(lo).all(axis=1)
-        else:
-            pts = hi
-            eligible = ~skip & ~found & np.isfinite(hi).all(axis=1)
+    candidates = (mids, lo, hi)
+    pts_all = np.concatenate(candidates)
+    bad_all = np.zeros(3 * n, dtype=bool)
+    fails = np.zeros(3 * n, dtype=bool)
+    unknown = np.zeros(3 * n, dtype=bool)
+    powers: dict = {}
+    for atom in compiled:
+        elo, ehi = _eval_poly(atom.poly, pts_all, pts_all, powers, bad_all)
+        violated = _violated_mask(elo, ehi, atom.relation)
+        satisfied = _satisfied_mask(elo, ehi, atom.relation)
+        fails |= violated
+        unknown |= ~violated & ~satisfied
+    bad_all = bad_all.reshape(3, n)
+    fails = fails.reshape(3, n)
+    unknown = unknown.reshape(3, n)
+    for candidate, pts in enumerate(candidates):
+        eligible = ~skip & ~found
+        if candidate:
+            eligible &= np.isfinite(pts).all(axis=1)
         if not eligible.any():
             continue
-        fails = np.zeros(n, dtype=bool)
-        unknown = np.zeros(n, dtype=bool)
-        powers: dict = {}
-        for atom in compiled:
-            elo, ehi = _eval_poly(atom.poly, pts, pts, powers, bad)
-            violated = _violated_mask(elo, ehi, atom.relation)
-            satisfied = _satisfied_mask(elo, ehi, atom.relation)
-            fails |= violated
-            unknown |= ~violated & ~satisfied
-        eligible = eligible & ~bad
-        certain = eligible & ~fails & ~unknown
+        bad |= bad_all[candidate]
+        eligible &= ~bad
+        certain = eligible & ~fails[candidate] & ~unknown[candidate]
         for i in np.nonzero(certain)[0]:
             found[i] = True
             witnesses[i] = {
                 name: Fraction(float(pts[i, vi]))
                 for name, vi in zip(order, sorted_pos)
             }
-        maybe = eligible & ~fails & unknown
+        maybe = eligible & ~fails[candidate] & unknown[candidate]
         for i in np.nonzero(maybe)[0]:
             point = {
                 name: Fraction(float(pts[i, vi]))
@@ -540,13 +579,13 @@ def _process_chunk(solver, prepared, compiled, order, names, lo, hi):
     orig_hi = hi.copy()
     bad = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        _guard_bounds(bad, lo)
-        _guard_bounds(bad, hi)
+        _flag(bad, lo)
+        _flag(bad, hi)
         empty = _contract_chunk(solver, compiled, lo, hi, bad)
         infeasible, undecided = _classify_chunk(compiled, lo, hi, bad)
         dead = empty | infeasible
         mids = _midpoints(lo, hi)
-        _guard_bounds(bad, mids)
+        _flag(bad, mids)
         found, witnesses = _witness_chunk(
             solver, prepared, compiled, order, names, mids, lo, hi, dead, bad
         )
@@ -755,8 +794,8 @@ def classify_boxes(atoms: Sequence[Atom], boxes: Sequence[Box]) -> list[str]:
     hi = np.ascontiguousarray(arr.hi)
     bad = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        _guard_bounds(bad, lo)
-        _guard_bounds(bad, hi)
+        _flag(bad, lo)
+        _flag(bad, hi)
         infeasible, undecided_masks = _classify_chunk(compiled, lo, hi, bad)
     undecided = np.zeros(n, dtype=bool)
     for mask in undecided_masks:

@@ -1,14 +1,32 @@
-"""Per-block reference separation oracle for the ellipsoid differentials.
+"""Reference LMI assemblies for the differential tests.
 
-:func:`repro.sdp.solve_lmi_ellipsoid` talks to its oracle only through
-``oracle(x, active)`` and ``gradient(i, v)``. This object answers both
-with one eigendecomposition per block and no batching, Cholesky screen
-or active-set shortcut. Passed as ``compiled=``, it lets a test drive
-the real solver loop and compare the trajectory against the tensorized
-:class:`repro.sdp.CompiledLmiSystem`.
+:class:`PerBlockOracle` is the per-block separation oracle for the
+ellipsoid differentials. :func:`repro.sdp.solve_lmi_ellipsoid` talks to
+its oracle only through ``oracle(x, active)`` and ``gradient(i, v)``.
+This object answers both with one eigendecomposition per block and no
+batching, Cholesky screen or active-set shortcut. Passed as
+``compiled=``, it lets a test drive the real solver loop and compare
+the trajectory against the tensorized :class:`repro.sdp.CompiledLmiSystem`.
+
+:func:`dense_lyap_basis_tensor` is the dense einsum assembly of the
+``L(E_k)`` stack that :func:`repro.sdp.problems.lyap_basis_tensor`
+builds sparsely.
 """
 
 import numpy as np
+
+from repro.sdp.svec import basis_tensor
+
+
+def dense_lyap_basis_tensor(a, alpha):
+    """``L(E_k) = A^T E_k + E_k A + alpha E_k`` over the svec basis, by
+    dense einsum contraction."""
+    basis = basis_tensor(a.shape[0])  # (m, n, n)
+    return (
+        np.einsum("ab,kbm->kam", a.T, basis)
+        + np.einsum("kab,bm->kam", basis, a)
+        + alpha * basis
+    )
 
 
 class PerBlockOracle:

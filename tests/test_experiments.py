@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments import (
+    Figure3Record,
     MethodKey,
     dump_records,
     method_rows,
@@ -112,6 +113,43 @@ class TestFigure3:
             size_caps={"icp": 0},  # cap below every case size
         )
         assert records == []
+
+    def test_deadline_kills_render_as_undecided(self, table1_quick):
+        # Two worker processes (the deadline only applies with jobs >=
+        # 2); no ICP search finishes in a millisecond, so every task is
+        # killed and must come back as an undecided record, not vanish.
+        _, candidates = table1_quick
+        chosen = dict(list(candidates.items())[:3])
+        records = run_figure3(
+            candidates=chosen, validators=("icp",), jobs=2,
+            task_deadline=1e-3,
+        )
+        assert len(records) == len(chosen)
+        assert all(r.valid is None for r in records)
+        assert all(r.aborted == "timeout" for r in records)
+        assert all(r.time > 0.0 for r in records)
+        text = render_figure3(records)
+        assert "proved/refuted/undecided" in text
+        assert "0/0/3 (3 TO)" in text
+
+    def test_verdict_counts_per_validator(self):
+        def record(validator, valid, aborted=None):
+            return Figure3Record(
+                case="size3", size=3, mode=0, method="eq-num", backend=None,
+                validator=validator, valid=valid, time=0.5, aborted=aborted,
+            )
+
+        text = render_figure3([
+            record("sylvester", True),
+            record("sylvester", False),
+            record("icp", True),
+            record("icp", None),
+            record("icp", None, aborted="timeout"),
+            record("icp", None, aborted="error"),
+        ])
+        rows = {line.split()[0]: line for line in text.splitlines()[1:]}
+        assert rows["sylvester"].rstrip().endswith("1/1/0")
+        assert rows["icp"].rstrip().endswith("1/0/3 (1 TO, 1 err)")
 
 
 class TestTable2:

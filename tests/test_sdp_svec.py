@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sdp import basis_matrix, smat, svec, svec_basis, svec_dim
+from repro.sdp.problems import lyap_basis_tensor
+from tests.lmi_reference import dense_lyap_basis_tensor
 
 
 def random_symmetric(n, seed):
@@ -58,3 +60,18 @@ class TestSvec:
         unit = np.zeros(len(basis))
         unit[k] = 1.0
         assert np.allclose(svec(basis[k]), unit)
+
+
+class TestLyapBasisTensor:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.25])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 21])
+    def test_sparse_assembly_matches_dense_einsum(self, n, alpha):
+        # Bit for bit: each einsum sum has at most one nonzero term per
+        # entry (a column of E_k holds one nonzero), and the sparse
+        # updates add the same products in the same order
+        # (A^T E_k, then E_k A, then alpha E_k).
+        for seed in range(2):
+            a = np.random.default_rng(100 * n + seed).normal(size=(n, n))
+            assert np.array_equal(
+                lyap_basis_tensor(a, alpha), dense_lyap_basis_tensor(a, alpha)
+            )

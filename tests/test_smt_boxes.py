@@ -5,11 +5,13 @@ return the same status, the same witness point, the same witness box and
 the same search statistics as the scalar branch-and-prune it vectorizes.
 These tests enforce that bit-for-bit over hand-picked corner cases,
 hypothesis-generated constraint systems, and the ground-truth fuzzer's
-system generator.
+system generator, and check the batched polynomial kernel directly
+against the scalar enclosure and the per-monomial deferral guard.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,8 @@ from repro.smt import (
     quadratic_form_term,
     resolve_icp_backend,
 )
-from repro.smt.boxes import BoxArray
+from repro.smt.boxes import BoxArray, _eval_poly, compile_atoms
+from repro.smt.icp import eval_poly_interval, prepare_atoms
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -157,29 +160,44 @@ class TestCornerCases:
 
 @st.composite
 def small_systems(draw):
-    """A conjunction of low-degree polynomial atoms over a small box."""
+    """A conjunction of low-degree polynomial atoms over a small box.
+
+    Besides ``c*v`` and ``c*v**2`` terms the atoms carry cross terms
+    (``x*y``), cubes and ``x*x*y`` products, so the monomial-tensor plan
+    sees mixed factor depths (short monomials padded) and odd powers;
+    an atom can also be constant-only or the empty polynomial.
+    """
     n_vars = draw(st.integers(1, 3))
     variables = [x, y, z][:n_vars]
     coeff = st.integers(-3, 3)
 
-    def poly(allow_quadratic=True):
+    def poly():
+        c0 = draw(coeff)
+        if draw(st.integers(0, 7)) == 0:
+            # Constant-only (c0 != 0) or empty (c0 == 0) polynomial.
+            return variables[0] - variables[0] + c0
         terms = []
         for v in variables:
             c = draw(coeff)
             if c:
                 terms.append(c * v)
-            if allow_quadratic:
-                c2 = draw(coeff)
-                if c2:
-                    terms.append(c2 * v * v)
-        c0 = draw(coeff)
-        base = terms[0] if terms else polynomial_of_zero()
-        for t in terms[1:]:
+            c2 = draw(coeff)
+            if c2:
+                terms.append(c2 * v * v)
+        products = st.lists(
+            st.integers(0, n_vars - 1), min_size=2, max_size=3
+        )
+        for factors in draw(st.lists(products, max_size=2)):
+            c = draw(coeff)
+            if c:
+                term = c * variables[factors[0]]
+                for f in factors[1:]:
+                    term = term * variables[f]
+                terms.append(term)
+        base = variables[0] - variables[0]
+        for t in terms:
             base = base + t
         return base + c0
-
-    def polynomial_of_zero():
-        return variables[0] - variables[0]
 
     n_atoms = draw(st.integers(1, 3))
     atoms = []
@@ -230,6 +248,138 @@ class TestHypothesisDifferential:
         assert batched.counterexample == scalar.counterexample
         assert batched.faces_checked == scalar.faces_checked
         assert batched.boxes_explored == scalar.boxes_explored
+
+
+def _band_unsafe(value):
+    return not (value == 0.0 or 2.0**-500 <= abs(value) <= 2.0**500)
+
+
+def _reference_flag(poly, box):
+    """The exactness guard, replayed per monomial on scalar intervals:
+    ``True`` iff some endpoint candidate product (powers included) or
+    partial endpoint sum of ``eval_poly_interval`` leaves the band."""
+    flagged = False
+
+    def mul(a, b):
+        nonlocal flagged
+        flagged |= any(
+            _band_unsafe(p * q) for p in (a.lo, a.hi) for q in (b.lo, b.hi)
+        )
+        return a * b
+
+    total = Interval.point(0)
+    for mono, coeff in poly.items():
+        part = Interval.point(coeff)
+        for var, exp in mono:
+            power = box[var]
+            for _ in range(exp - 1):
+                power = mul(power, box[var])
+            part = mul(part, power)
+        flagged |= _band_unsafe(total.lo + part.lo)
+        flagged |= _band_unsafe(total.hi + part.hi)
+        total = total + part
+    return flagged
+
+
+_ENDPOINTS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 3.0, -2.5, 1e-3, -7.0,
+     2.0**-300, -(2.0**-300), 2.0**300, -(2.0**300)]
+)
+
+
+@st.composite
+def kernel_boxes(draw):
+    """Boxes over ``x, y, z``: point boxes, signed-zero endpoints, boxes
+    straddling zero, and endpoints whose powers leave the band."""
+    box = {}
+    for name in ("x", "y", "z"):
+        a, b = draw(_ENDPOINTS), draw(_ENDPOINTS)
+        if draw(st.booleans()):
+            b = a  # point interval
+        box[name] = Interval(min(a, b), max(a, b))
+    return box
+
+
+class TestEvalPolyKernel:
+    """The batched ``_eval_poly`` against scalar ``eval_poly_interval``,
+    float for float (signed zeros included), and its deferral flags
+    against the per-monomial guard replay."""
+
+    POLYS = [
+        3 * x * y - 2 * x * x * y + 5 * z * z * z - 7 + x,
+        x * y * z - y * y + Fraction(1, 3) * x,
+        Fraction(2) ** -450 * x * y + Fraction(2) ** 450 * z,
+        (x - x) + 4,
+        x - x,
+        -x * x * x + 2 * x * z - z,
+    ]
+
+    @staticmethod
+    def _check(term, boxes):
+        names = ["x", "y", "z"]
+        prepared = prepare_atoms([term <= 0])
+        (compiled,) = compile_atoms(prepared, names)
+        poly = prepared[0].poly
+        lo = np.array([[box[n].lo for n in names] for box in boxes])
+        hi = np.array([[box[n].hi for n in names] for box in boxes])
+        bad = np.zeros(len(boxes), dtype=bool)
+        with np.errstate(all="ignore"):
+            elo, ehi = _eval_poly(compiled.poly, lo, hi, {}, bad)
+        for i, box in enumerate(boxes):
+            flagged = _reference_flag(poly, Box(box))
+            assert bool(bad[i]) == flagged
+            if flagged:
+                continue  # deferred: the scalar step recomputes the box
+            expected = eval_poly_interval(poly, Box(box))
+            assert float(elo[i]).hex() == expected.lo.hex()
+            assert float(ehi[i]).hex() == expected.hi.hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(kernel_boxes(), min_size=1, max_size=12))
+    def test_matches_scalar_enclosures(self, boxes):
+        for term in self.POLYS:
+            self._check(term, boxes)
+
+    def test_signed_zero_and_point_boxes(self):
+        boxes = [
+            {"x": Interval(-0.0, 0.0), "y": Interval(-0.0, -0.0),
+             "z": Interval(0.0, 0.0)},
+            {"x": Interval(-0.0, 1.0), "y": Interval(-1.0, -0.0),
+             "z": Interval(-0.0, 0.0)},
+            {"x": Interval(0.5, 0.5), "y": Interval(-3.0, -3.0),
+             "z": Interval(-0.75, -0.75)},
+            {"x": Interval(-2.5, 3.0), "y": Interval(-1.0, 1.0),
+             "z": Interval(-7.0, 0.5)},
+        ]
+        for term in self.POLYS:
+            self._check(term, boxes)
+
+    def test_out_of_band_bounds_are_flagged(self):
+        big, tiny = 2.0**300, 2.0**-300
+        boxes = [
+            {"x": Interval(-big, big), "y": Interval(1.0, 2.0),
+             "z": Interval(1.0, 2.0)},
+            {"x": Interval(tiny, 1.0), "y": Interval(1.0, 2.0),
+             "z": Interval(-tiny, tiny)},
+            {"x": Interval(1.0, 2.0), "y": Interval(1.0, 2.0),
+             "z": Interval(1.0, 2.0)},
+        ]
+        self._check(self.POLYS[0], boxes)
+        self._check(self.POLYS[2], boxes)
+        assert _reference_flag(
+            polynomial_of(self.POLYS[0]), Box(boxes[0])
+        )
+        # In-band products whose partial sum overflows the band: only
+        # the accumulation guard can flag these boxes.
+        half = Fraction(2) ** 499
+        point = {name: Interval(1.5, 1.5) for name in ("x", "y", "z")}
+        self._check(half * x + half * y, [point, boxes[2]])
+        assert _reference_flag(polynomial_of(half * x + half * y), Box(point))
+
+    def test_out_of_band_coefficients_refuse_to_compile(self):
+        for coeff in (Fraction(2) ** 600, Fraction(2) ** -600):
+            prepared = prepare_atoms([(coeff * x * y + 1) <= 0])
+            assert compile_atoms(prepared, ["x", "y"]) is None
 
 
 class TestOracleSystems:
